@@ -331,15 +331,15 @@ class GekkoFSClient:
         primary placement.  Collapses to one daemon when replication is
         off (the paper's design) or the deployment is smaller than R.
         """
-        primary = self.distributor.locate_metadata(rel)
-        count = min(self.config.replication, self.distributor.num_daemons)
-        return [(primary + i) % self.distributor.num_daemons for i in range(count)]
+        dist = self.distributor
+        return dist.replica_set(dist.locate_metadata(rel), self.config.replication)
 
     def _chunk_targets(self, rel: str, chunk_id: int) -> list[int]:
         """Replica set for one data chunk (primary + successors)."""
-        primary = self.distributor.locate_chunk(rel, chunk_id)
-        count = min(self.config.replication, self.distributor.num_daemons)
-        return [(primary + i) % self.distributor.num_daemons for i in range(count)]
+        dist = self.distributor
+        return dist.replica_set(
+            dist.locate_chunk(rel, chunk_id), self.config.replication
+        )
 
     # -- dual-epoch read fallback (elastic membership) -----------------------
     #

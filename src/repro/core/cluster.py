@@ -56,13 +56,14 @@ def build_node_stores(config: FSConfig, node: int):
     so the layouts must match byte for byte.
     """
     kv = LSMStore(node_dir(config.kv_dir, node))
-    integrity_opts = {}
+    # The digest algorithm applies even with the integrity plane off: it
+    # is what ``gkfs_chunk_digest`` and wire-digest checks compute, and
+    # the replica engine computes the same digests client-side.
+    integrity_opts = {"integrity_algorithm": config.integrity_algorithm}
     if config.integrity_enabled:
-        integrity_opts = {
-            "integrity": True,
-            "integrity_block_size": config.integrity_block_size,
-            "integrity_algorithm": config.integrity_algorithm,
-        }
+        integrity_opts.update(
+            integrity=True, integrity_block_size=config.integrity_block_size
+        )
     if config.data_dir is not None:
         storage = LocalFSChunkStorage(
             config.chunk_size,
@@ -101,17 +102,15 @@ class GekkoFSCluster:
             raise ValueError(f"num_nodes must be > 0, got {num_nodes}")
         self.config = config or FSConfig()
         self.num_nodes = num_nodes
-        self.distributor = distributor or SimpleHashDistributor(num_nodes)
-        if self.distributor.num_daemons != num_nodes:
+        distributor = distributor or SimpleHashDistributor(num_nodes)
+        if distributor.num_daemons != num_nodes:
             raise ValueError(
-                f"distributor spans {self.distributor.num_daemons} daemons, "
+                f"distributor spans {distributor.num_daemons} daemons, "
                 f"cluster has {num_nodes}"
             )
         # Elastic membership: the versioned placement view every client
-        # routes through.  ``self.distributor`` stays the raw policy (it
-        # seeds ``distributor_factory or type(...)`` on resize and is
-        # kept in sync when a live change flips).
-        self.view = MembershipView(self.distributor)
+        # routes through.
+        self.view = MembershipView(distributor)
         self.network = RpcNetwork()
         # Observability plane: one collector per deployment when enabled.
         # network.tracer makes call_async stamp request ids and clients
@@ -199,6 +198,12 @@ class GekkoFSCluster:
         self._format()
         self._running = True
 
+    @property
+    def distributor(self) -> Distributor:
+        """The authoritative placement policy (the view's, so it follows
+        live changes and seeds ``type(...)`` on resize)."""
+        return self.view.distributor
+
     @staticmethod
     def _node_dir(base: Optional[str], node: int) -> Optional[str]:
         return node_dir(base, node)
@@ -262,10 +267,11 @@ class GekkoFSCluster:
         replica, like any other path's metadata would.
         """
         root_md = new_dir_metadata(maintain_times=self.config.maintain_mtime)
-        owner = self.distributor.locate_metadata("/")
-        replicas = min(self.config.replication, self.num_nodes)
-        for i in range(replicas):
-            self.daemons[(owner + i) % self.num_nodes].create("/", root_md.encode(), False)
+        dist = self.distributor
+        for address in dist.replica_set(
+            dist.locate_metadata("/"), self.config.replication
+        ):
+            self.daemons[address].create("/", root_md.encode(), False)
 
     # -- client factory -----------------------------------------------------
 
@@ -391,19 +397,10 @@ class GekkoFSCluster:
         for node in range(old_count, new_num_nodes):  # grow first
             self.daemons.append(self._build_daemon(node))
 
+        self.num_nodes = max(old_count, new_num_nodes)
         report = migrate(self, new_distributor, old_count)
+        self._retire_daemons(new_num_nodes)  # then shrink
 
-        for daemon in self.daemons[new_num_nodes:]:  # then shrink
-            if len(daemon.kv) or daemon.storage.used_bytes():
-                raise RuntimeError(
-                    f"daemon {daemon.address} still holds data after migration"
-                )
-            daemon.shutdown()
-            self.network.remove_engine(daemon.address)
-        del self.daemons[new_num_nodes:]
-
-        self.distributor = new_distributor
-        self.num_nodes = new_num_nodes
         # Stale-client defence: every client built before this resize
         # holds the retired view and fails loudly from its next call;
         # daemons reject the retired epoch server-side as well.
@@ -413,6 +410,18 @@ class GekkoFSCluster:
         for daemon in self.live_daemons():
             daemon.set_epoch(self.view.epoch)
         return report
+
+    def _retire_daemons(self, keep: int) -> None:
+        """Shut down every daemon from address ``keep`` on; they must
+        already be drained (:func:`~repro.core.resize.check_drained`)."""
+        from repro.core.resize import check_drained
+
+        check_drained(self, range(keep, len(self.daemons)))
+        for daemon in self.daemons[keep:]:
+            daemon.shutdown()
+            self.network.remove_engine(daemon.address)
+        del self.daemons[keep:]
+        self.num_nodes = keep
 
     def resize_live(
         self,
@@ -460,19 +469,9 @@ class GekkoFSCluster:
             self.num_nodes = new_num_nodes
 
         report = live_migrate(self, new_distributor, rate=rate, verify=verify)
-
-        # The flip already made the new placement authoritative (and
-        # synced ``self.distributor``); on shrink the drained daemons
-        # can now leave the deployment.
-        for daemon in self.daemons[new_num_nodes:]:
-            if len(daemon.kv) or daemon.storage.used_bytes():
-                raise RuntimeError(
-                    f"daemon {daemon.address} still holds data after migration"
-                )
-            daemon.shutdown()
-            self.network.remove_engine(daemon.address)
-        del self.daemons[new_num_nodes:]
-        self.num_nodes = new_num_nodes
+        # The flip already made the new placement authoritative; on
+        # shrink the drained daemons can now leave the deployment.
+        self._retire_daemons(new_num_nodes)
         return report
 
     def replace_daemon(

@@ -45,6 +45,7 @@ HANDLER_NAMES = (
     "gkfs_remove_metadata",
     "gkfs_update_size",
     "gkfs_truncate_metadata",
+    "gkfs_replace_metadata",
     "gkfs_readdir",
     "gkfs_readdir_plus",
     "gkfs_write_chunk",
@@ -55,6 +56,7 @@ HANDLER_NAMES = (
     "gkfs_remove_chunks",
     "gkfs_truncate_chunks",
     "gkfs_chunk_digest",
+    "gkfs_scan",
     "gkfs_set_epoch",
     "gkfs_statfs",
     "gkfs_metrics",
@@ -198,6 +200,7 @@ class GekkoDaemon:
         self.engine.register("gkfs_remove_metadata", self.remove_metadata)
         self.engine.register("gkfs_update_size", self.update_size)
         self.engine.register("gkfs_truncate_metadata", self.truncate_metadata)
+        self.engine.register("gkfs_replace_metadata", self.replace_metadata)
         self.engine.register("gkfs_readdir", self.readdir)
         self.engine.register("gkfs_readdir_plus", self.readdir_plus)
         self.engine.register("gkfs_write_chunk", self.write_chunk)
@@ -208,6 +211,7 @@ class GekkoDaemon:
         self.engine.register("gkfs_remove_chunks", self.remove_chunks)
         self.engine.register("gkfs_truncate_chunks", self.truncate_chunks)
         self.engine.register("gkfs_chunk_digest", self.chunk_digest)
+        self.engine.register("gkfs_scan", self.scan)
         self.engine.register("gkfs_set_epoch", self.set_epoch)
         self.engine.register("gkfs_statfs", self.statfs)
         self.engine.register("gkfs_metrics", self.metrics_snapshot)
@@ -370,6 +374,25 @@ class GekkoDaemon:
             self.kv.merge(path.encode("utf-8"), apply)
         self._note_meta_mutation(path)
         return old_size
+
+    def replace_metadata(
+        self, path: str, record: bytes, expect: Optional[bytes]
+    ) -> bool:
+        """Install ``record`` iff the stored record still equals ``expect``.
+
+        The replica engine's record write: a compare-and-swap against the
+        copy it planned from (``None`` = absent), with no ENOENT window.
+        A record that changed since the plan — a foreground size update
+        landed — is left alone and ``False`` returned, so a restore never
+        rolls an acknowledged update back.
+        """
+        key = path.encode("utf-8")
+        with self._meta_lock:
+            if self.kv.get(key) != expect:
+                return False
+            self.kv.put(key, record)
+        self._note_meta_mutation(path)
+        return True
 
     def readdir(self, dir_path: str) -> list[tuple[str, bool]]:
         """Direct children of ``dir_path`` stored *on this daemon*.
@@ -608,25 +631,70 @@ class GekkoDaemon:
         if boundary and new_size // self.chunk_size in self.storage.chunk_ids(path):
             self.storage.truncate_chunk(path, new_size // self.chunk_size, boundary)
 
-    def chunk_digest(self, path: str, chunk_id: int) -> dict:
-        """Whole-payload digest of one locally stored chunk.
-
-        The migrator's verification RPC: after streaming a chunk to its
-        new owner it compares source and target digests before the
-        source copy may be released.  Served from the raw payload (plus
-        :meth:`~repro.storage.backend.ChunkStorage.verify_chunk` when
-        the integrity plane is on, so source bit-rot surfaces as
-        ``IntegrityError`` here instead of propagating to the copy).
-        """
+    def _digest(self, path: str, chunk_id: int) -> Optional[dict]:
+        """``{"length", "digest"}`` of one stored chunk; ``None`` when the
+        integrity plane finds it rotted.  A missing chunk digests as
+        empty (length 0)."""
         if self.storage.integrity and not self.storage.verify_chunk(path, chunk_id):
-            raise IntegrityError(
-                f"chunk {chunk_id} of {path!r} fails digest verification"
-            )
+            return None
         data = self.storage.read_chunk(path, chunk_id, 0, self.chunk_size)
         return {
             "length": len(data),
             "digest": chunk_checksum(data, 0, self.storage.algorithm),
         }
+
+    def chunk_digest(self, path: str, chunk_id: int) -> dict:
+        """Whole-payload digest of one locally stored chunk.
+
+        The replica engine's verification RPC: after pushing a copy it
+        reads the target's digest back, and it re-reads a restore
+        target's digest just before replacing (the compare-and-swap
+        guard).  Source bit-rot surfaces as ``IntegrityError`` here
+        instead of propagating to the copy.
+        """
+        digest = self._digest(path, chunk_id)
+        if digest is None:
+            raise IntegrityError(
+                f"chunk {chunk_id} of {path!r} fails digest verification"
+            )
+        return digest
+
+    def scan(self, after: Optional[list] = None, limit: int = 512) -> dict:
+        """One page of everything this daemon holds.
+
+        The replica engine's enumeration RPC, read-only: metadata
+        records first (``[path, record]``, ascending key), then every
+        stored chunk as ``[path, chunk_id, digest]`` in ``(path,
+        chunk_id)`` order, where ``digest`` is as :meth:`_digest`
+        returns it (``None`` = rotted).  ``after`` is the previous
+        page's ``next`` cursor; ``next`` is ``None`` on the last page.
+        """
+
+        def holdings():
+            if after is None or after[0] == "r":
+                lo = None if after is None else after[1].encode("utf-8") + b"\x00"
+                for key, value in self.kv.range_iter(lo):
+                    yield "r", key.decode("utf-8"), value
+            for path in self.storage.paths():
+                for chunk_id in self.storage.chunk_ids(path):
+                    if after is None or after[0] == "r" or (
+                        (path, chunk_id) > (after[1], after[2])
+                    ):
+                        yield "c", path, chunk_id
+
+        page: dict = {"records": [], "chunks": [], "next": None}
+        last = None
+        for kind, name, item in holdings():
+            if len(page["records"]) + len(page["chunks"]) == limit:
+                page["next"] = last
+                break
+            if kind == "r":
+                page["records"].append([name, item])
+                last = [kind, name]
+            else:
+                page["chunks"].append([name, item, self._digest(name, item)])
+                last = [kind, name, item]
+        return page
 
     # -- membership --------------------------------------------------------------
 

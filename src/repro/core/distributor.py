@@ -43,6 +43,22 @@ class Distributor:
         """Every daemon address — for broadcasts (remove, readdir)."""
         return range(self.num_daemons)
 
+    def replica_set(self, primary: int, replication: int) -> list[int]:
+        """The replicas of an item whose primary owner is ``primary``.
+
+        Successor placement: the primary plus the next
+        ``replication - 1`` addresses, wrapping around — resolvable by
+        every client from the path alone, like the primary itself.
+        Collapses to one daemon when replication is off (the paper's
+        design) or the deployment is smaller than ``replication``.
+        Clients, the membership view, the replica engine and fsck all
+        resolve replicas through this one rule.
+        """
+        if replication <= 1:
+            return [primary]
+        span = self.num_daemons
+        return [(primary + i) % span for i in range(min(replication, span))]
+
 
 class SimpleHashDistributor(Distributor):
     """Paper default: hash(path) for metadata, hash(path, chunk) per chunk."""

@@ -172,12 +172,12 @@ def repair(cluster: "GekkoFSCluster", report: FsckReport | None = None) -> FsckR
         # Raise the size on every live replica that holds the record —
         # repairing only the primary would leave stale replicas to win a
         # later fail-over read.
-        primary = cluster.distributor.locate_metadata(path)
-        span = cluster.distributor.num_daemons
-        count = min(cluster.config.replication, span)
+        dist = cluster.distributor
         key = path.encode("utf-8")
-        for i in range(count):
-            daemon = cluster.daemons[(primary + i) % span]
+        for address in dist.replica_set(
+            dist.locate_metadata(path), cluster.config.replication
+        ):
+            daemon = cluster.daemons[address]
             if not _daemon_alive(cluster, daemon.address):
                 continue
             if daemon.kv.get(key) is not None:

@@ -61,6 +61,7 @@ READONLY_HANDLERS = frozenset(
         "gkfs_statfs",
         "gkfs_metrics",
         "gkfs_chunk_digest",
+        "gkfs_scan",
         "gkfs_ping",
         "gkfs_trace_dump",
         "gkfs_metrics_window",
@@ -203,18 +204,14 @@ class MembershipView(Distributor):
         prev = self._previous
         if prev is None:
             return []
-        primary = prev.locate_metadata(rel)
-        count = min(max(1, replication), prev.num_daemons)
-        return [(primary + i) % prev.num_daemons for i in range(count)]
+        return prev.replica_set(prev.locate_metadata(rel), replication)
 
     def old_chunk_targets(self, rel: str, chunk_id: int, replication: int) -> list:
         """The retiring epoch's replica set for one chunk (RELEASING only)."""
         prev = self._previous
         if prev is None:
             return []
-        primary = prev.locate_chunk(rel, chunk_id)
-        count = min(max(1, replication), prev.num_daemons)
-        return [(primary + i) % prev.num_daemons for i in range(count)]
+        return prev.replica_set(prev.locate_chunk(rel, chunk_id), replication)
 
 
 class EpochStampedNetwork:
@@ -224,7 +221,10 @@ class EpochStampedNetwork:
     port/network.  Every call (a) fails loudly if the client's view was
     retired, (b) parks mutating handlers while the migrator's write
     freeze is up, and (c) stamps the view's epoch into the RPC envelope
-    so daemons can enforce ``min_epoch`` server-side.  Everything else
+    so daemons can enforce ``min_epoch`` server-side.  Epoch 0 — a
+    deployment whose membership never changed — travels unstamped, so
+    the common case pays no envelope bytes; it is also the one epoch no
+    daemon floor can be below.  Everything else
     (tracer, inflight gauge, qos stats, ``wait_all``) forwards to the
     wrapped network untouched.
     """
@@ -236,13 +236,13 @@ class EpochStampedNetwork:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)
 
-    def _gate(self, handler: str) -> int:
+    def _gate(self, handler: str) -> Optional[int]:
         view = self._view
         view.check()
         if handler not in READONLY_HANDLERS and not view._writable.is_set():
             view.wait_writable()
             view.check()  # a retire during the freeze still fails loudly
-        return view.epoch
+        return view.epoch or None
 
     def call(self, target: int, handler: str, *args: Any, bulk: Any = None) -> Any:
         epoch = self._gate(handler)

@@ -1,75 +1,57 @@
-"""Deployment resize: grow or shrink a running GekkoFS with migration.
+"""The replica engine: one wire-only path that moves and restores replicas.
 
-The paper deploys GekkoFS for a job *or a campaign* (§I); campaigns span
-jobs of different sizes, which makes elastic membership the natural
-extension (and the subject of the authors' follow-on malleability work).
-Resizing re-evaluates every placement under the new daemon count and
-moves only the records/chunks whose owner changed — with
-:class:`~repro.core.distributor.RendezvousDistributor` that is ~1/n of
-the data, with modulo hashing it is nearly everything (the ABL bench
-quantifies exactly this difference).
+GekkoFS daemons are independent and reachable only through RPC (§III),
+so the engine is too.  :class:`Migrator` enumerates holdings with the
+paged, read-only ``gkfs_scan`` handler and plans every record and chunk
+against an *authoritative* placement (whose owners took the client
+writes) and a *desired* one (the same placement for a restore):
 
-Two migration modes live here:
+* **Records.** The authoritative copy wins; among its replicas the
+  larger size wins.  An authoritative replica is restored only when
+  missing or smaller, any other desired owner is made equal — always by
+  ``gkfs_replace_metadata``, a compare-and-swap against the planned copy.
+* **Chunks.** The longest healthy authoritative copy is the source.  An
+  authoritative replica is restored only when missing, shorter or
+  rotted, CAS-guarded by re-reading its digest just before the replace
+  (a foreground write is never rolled back); any other desired owner is
+  made equal.  Every copy is throttled, pushed with its digest and read
+  back.
 
-* :func:`migrate` — the original **offline** path: stop-the-world
-  maintenance between application phases.  Clients constructed before an
-  offline resize hold the old distributor and are *retired*: every
-  subsequent operation fails loudly with
-  :class:`~repro.common.errors.StaleEpochError` instead of silently
-  resolving paths against daemons that no longer own them.
+Callers, in-process and over sockets alike:
 
-* :func:`live_migrate` — **online** membership change driven by the
-  :class:`Migrator`.  Clients keep serving throughout.  The protocol is
-  iterative pre-copy (the live-VM-migration shape):
-
-  1. ``begin_change`` bumps the membership epoch and stages the new
-     placement; the *old* placement stays fully authoritative.
-  2. Background pre-copy passes stream chunks and KV records to their
-     new owners through ordinary RPC movers — throttled by a client-side
-     token bucket (``migration_rate`` bytes/s) and scheduled in a
-     low-weight QoS share (:data:`MIGRATION_CLIENT_ID`), so foreground
-     I/O keeps priority.  Copies raced by writes go stale and are fixed
-     by the next pass (digest comparison finds them).
-  3. A brief write freeze (mutating RPCs park at the client gate) plus a
-     grace sleep quiesces the sources; the final delta pass — unthrottled,
-     so the freeze stays short no matter how low ``migration_rate`` is —
-     then copies exactly what changed *and propagates deletions*: an item
-     whose entire old-owner replica set no longer holds it was unlinked
-     mid-migration, and its pre-copied target copies are dropped instead
-     of resurrecting after the flip.  Every copy is pushed with its
-     whole-payload digest (``gkfs_replace_chunk`` rejects transit
-     corruption) and read back via ``gkfs_chunk_digest`` for verification.
-  4. ``commit_change`` flips: the new placement becomes authoritative
-     and writes unfreeze.  Reads fall back to the old owners while the
-     view is RELEASING (dual-epoch fallback) — covering in-flight
-     operations that resolved their targets before the flip.
-  5. Source copies are released only after their new owners re-verify,
-     the epoch is sealed, and daemons raise ``min_epoch`` so retired
-     epochs are rejected server-side too.
-
-  Any failure *before* the flip aborts the change with the old placement
-  untouched — crash-mid-migration is survivable by construction.
-
-* :func:`rereplicate` — the same copy-pass machinery pointed at the
-  *current* placement: every desired owner that is missing a verified
-  copy receives one from the surviving replicas.  This is crash-replace:
-  wipe the dead node, rebuild an empty daemon, re-replicate.
+* :func:`live_migrate` — online membership change by iterative pre-copy:
+  ``begin_change`` stages the new placement (the old stays
+  authoritative); throttled pre-copy passes converge the new owners; a
+  brief write freeze and an unthrottled delta pass copy what changed and
+  propagate deletions (an item its whole old-owner set lost was unlinked
+  and must not resurrect); ``commit_change`` flips, reads fall back to
+  the old owners while RELEASING; surplus copies are released after
+  their new owners re-verify, and ``gkfs_set_epoch`` seals the epoch
+  server-side.  A failure before the flip aborts with the old placement
+  untouched and ``gkfs_flight_dump`` snapshots every black box.
+* :func:`migrate` — the offline resize: one pass plus release.
+* :func:`rereplicate` / :meth:`Migrator.restore` — one pass over the
+  current placement: crash-replace, the supervisor's restore
+  (:class:`~repro.selfheal.repair.WireRepairer`) and restart
+  anti-entropy (:func:`~repro.faults.recovery.recover_daemon`).
+* :meth:`Migrator.resync_chunk` — one chunk onto one known-stale
+  replica: the dirty-replica resync and the scrubber's repair.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, Optional
 
-from repro.common.errors import DaemonUnavailableError, GekkoError, IntegrityError
+from repro.common.errors import GekkoError, IntegrityError, NotFoundError
 from repro.core.distributor import Distributor
 from repro.core.membership import MIGRATING
+from repro.core.metadata import Metadata
 from repro.qos.admission import TokenBucket
 from repro.storage.integrity import chunk_checksum
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.cluster import GekkoFSCluster
 
 __all__ = [
     "MIGRATION_CLIENT_ID",
@@ -78,6 +60,7 @@ __all__ = [
     "migrate",
     "live_migrate",
     "rereplicate",
+    "check_drained",
 ]
 
 #: Reserved client identity for migration traffic.  Negative so it can
@@ -97,10 +80,25 @@ _DEFAULT_PRECOPY_PASSES = 2
 #: issued *after* the state change can use the old resolution).
 _DEFAULT_GRACE = 0.05
 
+#: Entries per ``gkfs_scan`` page.
+_SCAN_PAGE = 512
+
+#: Concurrent copy streams: items are independent, and over sockets a
+#: lone stream spends its time waiting on round trips.
+_STREAMS = 8
+
+#: What a failed call raises: a daemon that is crash-stopped,
+#: partitioned, breaker-open or lost by the transport, a corrupt source,
+#: a stale epoch.
+_FAILURES = (GekkoError, LookupError, ConnectionError, TimeoutError, OSError)
+
+#: Sentinel: copy without a compare-and-swap guard.
+_UNGUARDED = object()
+
 
 @dataclass
 class MigrationReport:
-    """What a resize actually moved.
+    """What one engine run actually moved.
 
     ``bytes_moved`` counts every payload that crossed the wire —
     re-copies of write-raced chunks included — which is exactly the
@@ -117,7 +115,7 @@ class MigrationReport:
     chunks_total: int = 0
     chunks_moved: int = 0
     bytes_moved: int = 0
-    #: Wall-clock seconds the migration took, end to end.
+    #: Wall-clock seconds the run took, end to end.
     duration: float = 0.0
     #: Copy passes run (pre-copy rounds plus the frozen delta pass).
     passes: int = 0
@@ -127,9 +125,14 @@ class MigrationReport:
     verify_failures: int = 0
     #: Source copies dropped after their new owners re-verified.
     released: int = 0
-    #: ``offline`` | ``live`` | ``replace``.
+    #: Restores skipped because the target changed since the plan (a
+    #: foreground write took it); the next pass re-evaluates them.
+    skipped_racing: int = 0
+    #: Addresses a lenient run could not scan or restore.
+    unreachable: list = field(default_factory=list)
+    #: ``offline`` | ``live`` | ``replace`` | ``repair``.
     mode: str = "offline"
-    #: Membership epoch the change created (live/replace modes).
+    #: Membership epoch the run worked under (created, for live changes).
     epoch: Optional[int] = None
     #: Per-address traffic breakdown (see class docstring).
     per_daemon: dict = field(default_factory=dict)
@@ -144,39 +147,20 @@ class MigrationReport:
 
     def daemon_entry(self, address: int) -> dict:
         """The (created-on-demand) per-address traffic counters."""
-        return self.per_daemon.setdefault(
-            address,
-            {
-                "bytes_in": 0,
-                "bytes_out": 0,
-                "chunks_in": 0,
-                "chunks_out": 0,
-                "records_in": 0,
-                "records_out": 0,
-            },
-        )
+        return self.per_daemon.setdefault(address, dict.fromkeys(
+            ("bytes_in", "bytes_out", "chunks_in", "chunks_out",
+             "records_in", "records_out"), 0))
 
     def as_dict(self) -> dict:
         """JSON-ready form (the ``repro resize --json`` export)."""
-        return {
-            "old_nodes": self.old_nodes,
-            "new_nodes": self.new_nodes,
-            "mode": self.mode,
-            "epoch": self.epoch,
-            "metadata_total": self.metadata_total,
-            "metadata_moved": self.metadata_moved,
-            "metadata_moved_fraction": self.metadata_moved_fraction,
-            "chunks_total": self.chunks_total,
-            "chunks_moved": self.chunks_moved,
-            "chunks_moved_fraction": self.chunks_moved_fraction,
-            "bytes_moved": self.bytes_moved,
-            "duration": self.duration,
-            "passes": self.passes,
-            "verified": self.verified,
-            "verify_failures": self.verify_failures,
-            "released": self.released,
-            "per_daemon": {str(addr): dict(entry) for addr, entry in sorted(self.per_daemon.items())},
-        }
+        data = asdict(self)
+        data.update(
+            metadata_moved_fraction=self.metadata_moved_fraction,
+            chunks_moved_fraction=self.chunks_moved_fraction,
+            unreachable=sorted(set(self.unreachable)),
+            per_daemon={str(a): dict(e) for a, e in sorted(self.per_daemon.items())},
+        )
+        return data
 
     def __str__(self) -> str:
         text = (
@@ -190,122 +174,55 @@ class MigrationReport:
         return text
 
 
-def migrate(
-    cluster: "GekkoFSCluster",
-    new_distributor: Distributor,
-    old_daemon_count: int,
-) -> MigrationReport:
-    """Move every record/chunk to its owner under ``new_distributor``.
+def _size(record: bytes) -> int:
+    return Metadata.decode(record).size
 
-    The offline path: scans the daemons that existed before the resize
-    (new, empty daemons have nothing to contribute), computes each
-    item's new owner, and relocates only on change.  Chunk moves go
-    through the storage backends directly — this is the job-script
-    maintenance path, not an RPC-visible file-system operation.
-    """
-    report = MigrationReport(old_nodes=old_daemon_count, new_nodes=new_distributor.num_daemons)
-    started = time.monotonic()
-    daemons = cluster.daemons
-    scan_count = min(old_daemon_count, len(daemons))
 
-    # Two phases: snapshot every relocation first, apply afterwards.
-    # Applying during the scan would let items land on a daemon that is
-    # scanned later and be counted (and inspected) twice.
-
-    # -- metadata records ---------------------------------------------------
-    meta_moves: list[tuple[int, bytes, bytes, int]] = []
-    for source in daemons[:scan_count]:
-        for key, value in source.kv.range_iter():
-            report.metadata_total += 1
-            owner = new_distributor.locate_metadata(key.decode("utf-8"))
-            if owner != source.address:
-                meta_moves.append((source.address, key, value, owner))
-    for source_addr, key, value, owner in meta_moves:
-        daemons[owner].kv.put(key, value)
-        daemons[source_addr].kv.delete(key)
-        report.metadata_moved += 1
-        report.daemon_entry(owner)["records_in"] += 1
-        report.daemon_entry(source_addr)["records_out"] += 1
-
-    # -- data chunks -----------------------------------------------------------
-    chunk_size = cluster.config.chunk_size
-    chunk_moves: list[tuple[int, str, int, int]] = []
-    for source in daemons[:scan_count]:
-        for path in source.storage.paths():
-            for chunk_id in source.storage.chunk_ids(path):
-                report.chunks_total += 1
-                owner = new_distributor.locate_chunk(path, chunk_id)
-                if owner != source.address:
-                    chunk_moves.append((source.address, path, chunk_id, owner))
-    for source_addr, path, chunk_id, owner in chunk_moves:
-        source = daemons[source_addr]
-        data = source.storage.read_chunk(path, chunk_id, 0, chunk_size)
-        daemons[owner].storage.write_chunk(path, chunk_id, 0, data)
-        source.storage.truncate_chunk(path, chunk_id, 0)
-        report.chunks_moved += 1
-        report.bytes_moved += len(data)
-        entry = report.daemon_entry(owner)
-        entry["chunks_in"] += 1
-        entry["bytes_in"] += len(data)
-        entry = report.daemon_entry(source_addr)
-        entry["chunks_out"] += 1
-        entry["bytes_out"] += len(data)
-    # Drop now-empty per-path containers left behind on the sources.
-    for source in daemons[:scan_count]:
-        for path in list(source.storage.paths()):
-            if not list(source.storage.chunk_ids(path)):
-                source.storage.remove_chunks(path)
-
-    report.duration = time.monotonic() - started
-    return report
+def _same(before: Optional[dict], after: Optional[dict]) -> bool:
+    """Same copy state across two digest reads (``None`` = rotted)."""
+    if before is None or after is None:
+        return before is None and after is None
+    return before["length"] == after["length"] and before["digest"] == after["digest"]
 
 
 class Migrator:
-    """Streams chunks and KV records to their owners under a placement.
+    """The replica engine: restores and moves replicas over RPC only.
 
-    The work-horse shared by :func:`live_migrate` and
-    :func:`rereplicate`.  Enumeration is white-box (the cluster owns its
-    daemons' stores — the same privilege the offline path uses), but
-    every *payload* moves through ordinary RPCs against the target:
-    ``gkfs_read_chunk`` on a source replica (a verified read when the
-    integrity plane is on, so source bit-rot fails over to the next
-    replica instead of propagating), ``gkfs_replace_chunk`` with the
-    whole-payload digest on the target (transit corruption is rejected
-    before storage), and ``gkfs_chunk_digest`` read-back verification.
-
-    :param cluster: the deployment being rebalanced.
-    :param report: accounting sink (shared with the orchestrator).
-    :param rate: byte-per-second cap on mover traffic (token bucket);
-        ``None`` is unthrottled.
-    :param verify: read back and compare every copied chunk's digest.
+    :param cluster: any deployment with ``config``, ``network``,
+        ``num_nodes`` and a membership ``view``
+        (:class:`~repro.core.cluster.GekkoFSCluster`,
+        :class:`~repro.net.cluster.SocketDeployment`); an optional
+        ``migration_network()`` supplies the mover port.
+    :param report: accounting sink (a fresh ``repair`` report by default).
+    :param rate: byte/s cap on copy traffic; ``None`` is unthrottled.
+    :param verify: read back every copied chunk's digest.
+    :param strict: a failing target raises (a migration must abort);
+        otherwise it lands in ``report.unreachable`` and the run goes on.
+    :param view: stamp calls with this view's epoch, so daemons sealed
+        past it reject the work (``StaleEpochError``).
     """
-
-    #: Failures a source read may survive by falling over to the next
-    #: replica: corruption, crash-stopped daemons, tripped breakers,
-    #: transport loss.  (File-system errors on the *target* stay fatal.)
-    _SOURCE_FAILURES = (
-        IntegrityError,
-        DaemonUnavailableError,
-        GekkoError,
-        LookupError,
-        ConnectionError,
-        TimeoutError,
-        OSError,
-    )
 
     def __init__(
         self,
-        cluster: "GekkoFSCluster",
-        report: MigrationReport,
+        cluster,
+        report: Optional[MigrationReport] = None,
         *,
         rate: Optional[float] = None,
         verify: bool = True,
+        strict: bool = True,
+        view=None,
     ):
         self.cluster = cluster
         self.config = cluster.config
         self.chunk_size = cluster.config.chunk_size
+        self.algorithm = cluster.config.integrity_algorithm
+        if report is None:
+            span = self._placement().num_daemons
+            report = MigrationReport(old_nodes=span, new_nodes=span, mode="repair")
         self.report = report
         self.verify = verify
+        self.strict = strict
+        self.view = view
         # Burst must cover one whole chunk or a full-chunk acquire could
         # never succeed; beyond that, one second's worth of rate.
         self.bucket = (
@@ -313,18 +230,34 @@ class Migrator:
             if rate
             else None
         )
-        self.network = cluster.migration_network()
+        mover = getattr(cluster, "migration_network", None)
+        self.network = mover() if mover is not None else cluster.network
+        #: How ``gkfs_chunk_digest`` answers for a chunk that is not there.
+        self._empty = {"length": 0, "digest": chunk_checksum(b"", 0, self.algorithm)}
+        self._lock = threading.Lock()  # the report, across copy streams
         # Items already counted in ``*_moved`` — re-copies across passes
         # count once as a move, but every time in ``bytes_moved``.
         self._already_moved_meta: set = set()
         self._already_moved_chunks: set = set()
 
-    # -- throttle -----------------------------------------------------------
+    # -- plumbing -----------------------------------------------------------
+
+    def _placement(self) -> Distributor:
+        return self.cluster.view.distributor
+
+    def _call(self, target: int, handler: str, *args):
+        epoch = None if self.view is None else self.view.epoch
+        return self.network.call(target, handler, *args, epoch=epoch)
+
+    def _chunk_owners(self, rel: str, chunk_id: int) -> list[int]:
+        """One chunk's replica set under the current placement."""
+        dist = self._placement()
+        return dist.replica_set(
+            dist.locate_chunk(rel, chunk_id), self.config.replication
+        )
 
     def _throttle(self, nbytes: int) -> None:
-        """Debit ``nbytes`` from the migration token bucket, sleeping as
-        the bucket directs — the client-side half of keeping rebalance
-        traffic under its configured ceiling."""
+        """Debit ``nbytes`` from the token bucket, sleeping as it directs."""
         if self.bucket is None or nbytes <= 0:
             return
         amount = min(float(nbytes), self.bucket.burst)
@@ -334,110 +267,150 @@ class Migrator:
                 return
             time.sleep(min(wait, 0.05))
 
+    def _count(self, **totals: int) -> None:
+        with self._lock:
+            for name, amount in totals.items():
+                setattr(self.report, name, getattr(self.report, name) + amount)
+
+    def _charge(self, address: int, metrics: Optional[dict] = None, **traffic: int) -> None:
+        """Charge traffic to one address's report entry and, on
+        in-process daemons, to ``migration.*`` metrics next to their
+        foreground I/O (named as ``traffic`` unless ``metrics`` says
+        otherwise)."""
+        with self._lock:
+            entry = self.report.daemon_entry(address)
+            for name, amount in traffic.items():
+                entry[name] += amount
+        daemons = getattr(self.cluster, "daemons", None)
+        if daemons is not None and address < len(daemons):
+            for name, amount in (metrics or traffic).items():
+                daemons[address].metrics.inc(f"migration.{name}", amount)
+
+    def _unreachable(self, address: int) -> None:
+        with self._lock:
+            self.report.unreachable.append(address)
+
+    def _target_failed(self, address: int) -> None:
+        """A target could not be reached: re-raise when strict."""
+        if self.strict:
+            raise
+        self._unreachable(address)
+
+    @staticmethod
+    def _each(work: Callable, items: Iterable) -> list:
+        """``work(item)`` for every item on concurrent copy streams;
+        results in item order.  The first failure is raised once every
+        item has finished, so an abort leaves no stream running."""
+        items = list(items)
+        if len(items) <= 1:
+            return [work(item) for item in items]
+        with ThreadPoolExecutor(max_workers=min(_STREAMS, len(items))) as pool:
+            futures = [pool.submit(work, item) for item in items]
+        for future in futures:
+            if future.exception() is not None:
+                raise future.exception()
+        return [future.result() for future in futures]
+
     # -- enumeration --------------------------------------------------------
 
-    def _live_addresses(self) -> list[int]:
-        return [d.address for d in self.cluster.live_daemons()]
+    def scan(self, addresses) -> tuple[dict, dict, set]:
+        """Who holds what: ``(records, chunks, reachable)`` as
+        ``{path: {address: record}}``, ``{(path, chunk_id): {address:
+        digest}}`` (``None`` = rotted) and the addresses that answered
+        every ``gkfs_scan`` page."""
 
-    def _index(self) -> tuple[dict, dict]:
-        """Who currently holds what, across every live daemon.
+        def holdings(address: int) -> Optional[tuple[list, list]]:
+            found: tuple[list, list] = ([], [])
+            cursor = None
+            try:
+                while True:
+                    page = self._call(address, "gkfs_scan", cursor, _SCAN_PAGE)
+                    found[0].extend(page["records"])
+                    found[1].extend(page["chunks"])
+                    cursor = page["next"]
+                    if cursor is None:
+                        return found
+            except _FAILURES:
+                self._unreachable(address)
+                return None
 
-        Returns ``(meta, chunks)``: ``{key: [addresses]}`` and
-        ``{(path, chunk_id): [addresses]}``.
-        """
-        meta: dict[bytes, list[int]] = {}
-        chunks: dict[tuple[str, int], list[int]] = {}
-        for address in self._live_addresses():
-            daemon = self.cluster.daemons[address]
-            for key, _value in daemon.kv.range_iter():
-                meta.setdefault(key, []).append(address)
-            for path in daemon.storage.paths():
-                for chunk_id in daemon.storage.chunk_ids(path):
-                    chunks.setdefault((path, chunk_id), []).append(address)
-        return meta, chunks
+        records: dict[str, dict[int, bytes]] = {}
+        chunks: dict[tuple[str, int], dict[int, Optional[dict]]] = {}
+        reachable: set[int] = set()
+        addresses = list(addresses)
+        for address, found in zip(addresses, self._each(holdings, addresses)):
+            if found is None:
+                continue
+            reachable.add(address)
+            for path, record in found[0]:
+                records.setdefault(path, {})[address] = record
+            for path, chunk_id, digest in found[1]:
+                chunks.setdefault((path, chunk_id), {})[address] = digest
+        return records, chunks, reachable
 
-    def _owners(self, dist: Distributor, primary: int) -> list[int]:
-        count = min(max(1, self.config.replication), dist.num_daemons)
-        return [(primary + i) % dist.num_daemons for i in range(count)]
+    def _addresses(self, *dists: Distributor) -> range:
+        return range(max([self.cluster.num_nodes] + [d.num_daemons for d in dists]))
 
-    def _ordered_sources(
-        self, holders: list[int], preferred: Optional[list[int]]
-    ) -> list[int]:
-        """Holders ordered with the authoritative (old-owner) set first."""
-        if not preferred:
-            return list(holders)
-        head = [a for a in preferred if a in holders]
-        return head + [a for a in holders if a not in head]
+    @staticmethod
+    def _sources(copies: dict, authoritative: list[int]) -> list[int]:
+        """Healthy non-empty holders, authoritative first, longest first
+        (ties in placement order)."""
+        healthy = [
+            a for a, digest in copies.items()
+            if digest is not None and digest["length"] > 0
+        ]
+        head = [a for a in authoritative if a in healthy]
+        tail = [a for a in healthy if a not in head]
+        longest = lambda a: -copies[a]["length"]  # noqa: E731
+        return sorted(head, key=longest) + sorted(tail, key=longest)
 
-    def _account(self, address: int, **amounts: int) -> None:
-        """Mirror per-daemon report traffic into ``migration.*`` metrics,
-        so rebalance load shows up next to foreground I/O in snapshots."""
-        metrics = getattr(self.cluster.daemons[address], "metrics", None)
-        if metrics is None:
-            return
-        for name, amount in amounts.items():
-            metrics.inc(f"migration.{name}", amount)
-
-    def _raw_digest(self, address: int, path: str, chunk_id: int):
-        """Unverified ``(length, digest)`` of one locally stored copy.
-
-        Planning only — it decides *whether* a copy is needed, never what
-        gets installed.  A quarantined/unreadable copy plans as ``None``
-        (always re-copy).
-        """
-        storage = self.cluster.daemons[address].storage
-        try:
-            data = storage.read_chunk(path, chunk_id, 0, self.chunk_size)
-        except Exception:
-            return None
-        return (len(data), chunk_checksum(data, 0, storage.algorithm))
+    @staticmethod
+    def _deleted_under(copies: dict, authoritative: list[int], reachable: set) -> bool:
+        """Deleted on its authoritative replicas: every one answered the
+        scan (absence is a fact, not an outage) and none holds a copy.
+        Only meaningful under the write freeze."""
+        if any(address not in reachable for address in authoritative):
+            return False
+        return not any(address in copies for address in authoritative)
 
     # -- movers (RPC) -------------------------------------------------------
 
-    def _check_proofs(
-        self, source: int, path: str, chunk_id: int, data: bytes, proofs
-    ) -> None:
-        """Re-check a verified read's block digests over the received
-        payload — the client half of the end-to-end integrity protocol
-        (the server only verifies blocks the span partially covers)."""
-        algorithm = self.cluster.daemons[source].storage.algorithm
-        for boff, blen, digest in proofs:
+    def _digest(self, address: int, path: str, chunk_id: int) -> Optional[dict]:
+        try:
+            return self._call(address, "gkfs_chunk_digest", path, chunk_id)
+        except IntegrityError:
+            return None
+
+    def _chunk_payload(self, source: int, path: str, chunk_id: int) -> bytes:
+        """One whole chunk from one source.  A verified read's block
+        proofs are re-checked over the received bytes — the client half
+        of the end-to-end integrity protocol."""
+        value = self._call(source, "gkfs_read_chunk", path, chunk_id, 0, self.chunk_size)
+        if not isinstance(value, dict):
+            return bytes(value)
+        data = bytes(value["data"])
+        for boff, blen, digest in value.get("proofs") or []:
             block = data[boff : boff + blen]
-            if len(block) != blen or chunk_checksum(block, boff, algorithm) != digest:
+            if len(block) != blen or chunk_checksum(block, boff, self.algorithm) != digest:
                 raise IntegrityError(
                     f"chunk {chunk_id} of {path!r}: source {source} block at "
                     f"offset {boff} failed its stored digest"
                 )
+        return data
 
     def _read_source_chunk(
         self, sources: list[int], path: str, chunk_id: int, skip: Optional[int] = None
     ) -> tuple[bytes, int]:
-        """Fetch one chunk from the first source replica that serves a
-        clean copy; corruption/unavailability falls over to the next.
-
-        Returns ``(data, serving_address)`` so out-traffic is accounted
-        to the replica that actually served the payload, not merely the
-        preferred one.
-        """
+        """``(data, serving address)`` from the first source that serves
+        a clean copy; corruption or unavailability falls over."""
         last: Optional[Exception] = None
         for source in sources:
             if source == skip:
                 continue
             try:
-                value = self.network.call(
-                    source, "gkfs_read_chunk", path, chunk_id, 0, self.chunk_size
-                )
-                if isinstance(value, dict):
-                    data = bytes(value["data"])
-                    self._check_proofs(
-                        source, path, chunk_id, data, value.get("proofs") or []
-                    )
-                else:
-                    data = bytes(value)
-            except self._SOURCE_FAILURES as exc:
+                return self._chunk_payload(source, path, chunk_id), source
+            except _FAILURES as exc:
                 last = exc
-                continue
-            return data, source
         if last is not None:
             raise last
         raise IntegrityError(
@@ -445,57 +418,142 @@ class Migrator:
         )
 
     def _copy_chunk(
-        self, sources: list[int], path: str, chunk_id: int, target: int
-    ) -> int:
-        """Stream one chunk to ``target``, throttled and digest-checked.
-
-        Returns the payload size.  Raises :class:`IntegrityError` if the
-        target's read-back digest does not match what was sent.
+        self,
+        sources: list[int],
+        path: str,
+        chunk_id: int,
+        target: int,
+        expect=_UNGUARDED,
+    ) -> Optional[int]:
+        """Stream one chunk to ``target``: throttled, pushed with its
+        digest, read back.  With ``expect`` (the target's planned digest)
+        the target is re-read right before the replace and left alone if
+        it changed — a foreground write landed.  Returns the payload
+        size, or ``None`` if the guard tripped or the read-back differs.
         """
         data, served_by = self._read_source_chunk(sources, path, chunk_id, skip=target)
         self._throttle(len(data))
-        algorithm = self.cluster.daemons[target].storage.algorithm
-        digest = chunk_checksum(data, 0, algorithm)
-        self.network.call(target, "gkfs_replace_chunk", path, chunk_id, data, digest)
+        if expect is not _UNGUARDED and not _same(
+            expect, self._digest(target, path, chunk_id)
+        ):
+            return None
+        digest = chunk_checksum(data, 0, self.algorithm)
+        self._call(target, "gkfs_replace_chunk", path, chunk_id, data, digest)
+        self._count(bytes_moved=len(data))
+        self._charge(target, chunks_in=1, bytes_in=len(data))
+        self._charge(served_by, chunks_out=1, bytes_out=len(data))
         if self.verify:
-            echo = self.network.call(target, "gkfs_chunk_digest", path, chunk_id)
+            echo = self._call(target, "gkfs_chunk_digest", path, chunk_id)
             if echo["digest"] != digest or echo["length"] != len(data):
-                self.report.verify_failures += 1
-                raise IntegrityError(
-                    f"chunk {chunk_id} of {path!r}: target {target} read-back "
-                    f"digest mismatch after migration copy"
-                )
-            self.report.verified += 1
-        self.report.bytes_moved += len(data)
-        entry = self.report.daemon_entry(target)
-        entry["chunks_in"] += 1
-        entry["bytes_in"] += len(data)
-        self._account(target, chunks_in=1, bytes_in=len(data))
-        entry = self.report.daemon_entry(served_by)
-        entry["chunks_out"] += 1
-        entry["bytes_out"] += len(data)
-        self._account(served_by, chunks_out=1, bytes_out=len(data))
+                return None
+            self._count(verified=1)
         return len(data)
 
-    # -- copy pass ----------------------------------------------------------
+    def _ensure_copy(
+        self,
+        path: str,
+        chunk_id: int,
+        target: int,
+        sources: list[int],
+        have: Optional[dict],
+        want: dict,
+        *,
+        exact: bool,
+        foreground: bool,
+    ) -> str:
+        """The per-chunk primitive: bring ``target``'s copy up to
+        ``want``.  ``exact`` makes it equal; otherwise it is restored only
+        when missing, shorter or rotted (``have is None``).  A
+        ``foreground`` target takes client writes: the copy is CAS-guarded
+        and a read-back mismatch is a racing write, not corruption.
+        Returns ``"current"``, ``"copied"`` or ``"racing"``."""
+        if have is not None and (
+            _same(have, want) if exact else have["length"] >= want["length"]
+        ):
+            return "current"
+        expect = have if foreground else _UNGUARDED
+        if self._copy_chunk(sources, path, chunk_id, target, expect) is not None:
+            return "copied"
+        if foreground:
+            self._count(skipped_racing=1)
+            return "racing"
+        self._count(verify_failures=1)
+        raise IntegrityError(
+            f"chunk {chunk_id} of {path!r}: target {target} read-back "
+            f"digest mismatch after copy"
+        )
 
-    def _deleted_under(
-        self, holders: list[int], preferred: Optional[list[int]], live: set
+    def _sync_record(
+        self, rel: str, copies: dict, desired: list[int], authoritative: list[int]
+    ) -> int:
+        """Converge one record; returns key+value bytes written."""
+        pool = [a for a in authoritative if a in copies] or list(copies)
+        supplier = max(pool, key=lambda a: _size(copies[a]))
+        best = copies[supplier]
+        moved = 0
+        for target in desired:
+            have = copies.get(target)
+            if have == best or (
+                target in authoritative and have is not None
+                and _size(have) >= _size(best)
+            ):
+                continue
+            cost = len(rel.encode("utf-8")) + len(best)
+            self._throttle(cost)
+            try:
+                stored = self._call(target, "gkfs_replace_metadata", rel, best, have)
+            except _FAILURES:
+                self._target_failed(target)
+                continue
+            if not stored:
+                self._count(skipped_racing=1)
+                continue
+            moved += cost
+            self._charge(target, records_in=1)
+            self._charge(supplier, records_out=1)
+        return moved
+
+    def _sync_chunk(
+        self,
+        path: str,
+        chunk_id: int,
+        copies: dict,
+        desired: list[int],
+        authoritative: list[int],
     ) -> bool:
-        """Was this item deleted on its authoritative (old-owner) replicas?
+        """Converge one chunk; True if anything was copied."""
+        sources = self._sources(copies, authoritative)
+        if not sources:
+            return False  # sparse, or no healthy copy to restore from
+        want = copies[sources[0]]
+        copied = False
+        for target in desired:
+            foreground = target in authoritative
+            try:
+                status = self._ensure_copy(
+                    path, chunk_id, target, sources,
+                    copies.get(target, self._empty), want,
+                    exact=not foreground, foreground=foreground,
+                )
+            except _FAILURES:
+                self._target_failed(target)
+                continue
+            copied = copied or status == "copied"
+        return copied
 
-        True only when *every* authoritative owner is live (so absence is
-        a fact, not an outage) and *none* of them still holds a copy —
-        the only way a copy can exist solely on non-authoritative holders
-        is that the migrator streamed it there and a client then deleted
-        the original.  Only meaningful under a write freeze, where the
-        index snapshot cannot race a concurrent mutation.
-        """
-        if not preferred:
-            return False
-        if any(address not in live for address in preferred):
-            return False  # an old owner is down: absence is unprovable
-        return not any(address in holders for address in preferred)
+    def _drop_record(self, holder: int, rel: str, metric: str) -> None:
+        try:
+            self._call(holder, "gkfs_remove_metadata", rel)
+        except NotFoundError:
+            pass
+        self._charge(holder, {metric: 1}, records_out=1)
+
+    def _drop_chunk(self, holder: int, path: str, chunk_id: int, metric: str) -> None:
+        """Drop one chunk copy: an empty whole-chunk replace."""
+        self._call(holder, "gkfs_replace_chunk", path, chunk_id, b"", self._empty["digest"])
+        self._charge(holder, {metric: 1}, chunks_out=1)
+
+    # -- passes -------------------------------------------------------------
 
     def copy_pass(
         self,
@@ -506,201 +564,216 @@ class Migrator:
         propagate_deletes: bool = False,
         throttle: bool = True,
     ) -> int:
-        """One convergence round: give every desired owner under
-        ``new_dist`` an up-to-date copy of every record and chunk.
+        """One convergence round onto ``new_dist``; returns the bytes
+        copied (chunk payloads plus record key+value bytes; 0 =
+        converged).  Idempotent: repeated passes move only the delta
+        foreground writes dirtied since the last.
 
-        Idempotent — a copy already in place (digest match) costs a local
-        comparison and moves nothing, so repeated passes only transfer
-        the delta that foreground writes dirtied since the last round.
-        Returns the bytes copied this pass (0 = converged) — chunk
-        payloads plus key+value bytes for copied metadata records, so a
-        records-only round still reads as churn to convergence checks.
-
-        ``source_dist`` orders source replicas authoritative-first (the
-        retiring placement's owners took every client write).  With
-        ``count_totals`` the pass also records the scanned universe in
-        ``metadata_total``/``chunks_total``.
-
-        ``propagate_deletes`` makes the pass propagate *absence* too: an
-        item held only by non-authoritative daemons — its entire (live)
-        old-owner replica set no longer has it — was deleted by a client
-        after a pre-copy streamed it, and the stale copies are dropped
-        instead of kept.  Only safe under the write freeze (requires
-        ``source_dist``); without it, acknowledged deletions silently
-        resurrect on the new owners after the flip.
-
-        ``throttle=False`` bypasses the migration token bucket for this
-        pass — the frozen delta pass runs unthrottled so a low
-        ``migration_rate`` cannot stretch the write freeze past the
-        client gate's timeout.
+        ``source_dist`` is the authoritative placement (default
+        ``new_dist``: a restore); ``count_totals`` records the scanned
+        universe.  ``propagate_deletes`` drops items their authoritative
+        set no longer holds — only safe under the write freeze.
+        ``throttle=False`` bypasses the token bucket, so the frozen pass
+        cannot outlast the client gate's timeout.
         """
-        meta_index, chunk_index = self._index()
+        authority = source_dist or new_dist
+        records, chunks, reachable = self.scan(self._addresses(new_dist, authority))
         if count_totals:
-            self.report.metadata_total = len(meta_index)
-            self.report.chunks_total = len(chunk_index)
-        pass_bytes = 0
-        moved_meta: set[bytes] = set()
-        moved_chunks: set[tuple[str, int]] = set()
-        live = set(self._live_addresses())
+            self.report.metadata_total = len(records)
+            self.report.chunks_total = len(chunks)
+        replication = self.config.replication
+
+        def record(item) -> int:
+            rel, copies = item
+            auth = authority.replica_set(authority.locate_metadata(rel), replication)
+            if propagate_deletes and self._deleted_under(copies, auth, reachable):
+                for holder in copies:
+                    self._drop_record(holder, rel, "records_deleted")
+                return 0
+            desired = new_dist.replica_set(new_dist.locate_metadata(rel), replication)
+            return self._sync_record(rel, copies, desired, auth)
+
+        def chunk(item) -> bool:
+            (path, chunk_id), copies = item
+            auth = authority.replica_set(
+                authority.locate_chunk(path, chunk_id), replication
+            )
+            if propagate_deletes and self._deleted_under(copies, auth, reachable):
+                for holder in copies:
+                    self._drop_chunk(holder, path, chunk_id, "chunks_deleted")
+                return False
+            desired = new_dist.replica_set(
+                new_dist.locate_chunk(path, chunk_id), replication
+            )
+            return self._sync_chunk(path, chunk_id, copies, desired, auth)
+
+        bytes_before = self.report.bytes_moved
         saved_bucket = self.bucket
         if not throttle:
             self.bucket = None
         try:
-            # -- metadata records (tiny values; streamed store-to-store) ---
-            daemons = self.cluster.daemons
-            for key, holders in meta_index.items():
-                rel = key.decode("utf-8")
-                desired = self._owners(new_dist, new_dist.locate_metadata(rel))
-                preferred = (
-                    self._owners(source_dist, source_dist.locate_metadata(rel))
-                    if source_dist is not None
-                    else None
-                )
-                if propagate_deletes and self._deleted_under(holders, preferred, live):
-                    for holder in holders:
-                        daemons[holder].kv.delete(key)
-                        self.report.daemon_entry(holder)["records_out"] += 1
-                        self._account(holder, records_deleted=1)
-                    continue
-                sources = self._ordered_sources(holders, preferred)
-                value = None
-                supplier = None
-                for source in sources:
-                    value = daemons[source].kv.get(key)
-                    if value is not None:
-                        supplier = source
-                        break
-                if value is None:
-                    continue
-                for target in desired:
-                    if daemons[target].kv.get(key) == value:
-                        continue
-                    self._throttle(len(key) + len(value))
-                    daemons[target].kv.put(key, value)
-                    pass_bytes += len(key) + len(value)
-                    moved_meta.add(key)
-                    self.report.daemon_entry(target)["records_in"] += 1
-                    self.report.daemon_entry(supplier)["records_out"] += 1
-                    self._account(target, records_in=1)
-                    self._account(supplier, records_out=1)
-
-            # -- data chunks (RPC movers) ----------------------------------
-            deleted_containers: set[int] = set()
-            for (path, chunk_id), holders in chunk_index.items():
-                desired = self._owners(new_dist, new_dist.locate_chunk(path, chunk_id))
-                preferred = (
-                    self._owners(source_dist, source_dist.locate_chunk(path, chunk_id))
-                    if source_dist is not None
-                    else None
-                )
-                if propagate_deletes and self._deleted_under(holders, preferred, live):
-                    for holder in holders:
-                        daemons[holder].storage.truncate_chunk(path, chunk_id, 0)
-                        self.report.daemon_entry(holder)["chunks_out"] += 1
-                        self._account(holder, chunks_deleted=1)
-                        deleted_containers.add(holder)
-                    continue
-                sources = self._ordered_sources(holders, preferred)
-                reference = None
-                reference_known = False
-                for target in desired:
-                    if target in holders:
-                        if not reference_known:
-                            reference = self._raw_digest(sources[0], path, chunk_id)
-                            reference_known = True
-                        if (
-                            reference is not None
-                            and self._raw_digest(target, path, chunk_id) == reference
-                        ):
-                            continue  # already in place and current
-                    pass_bytes += self._copy_chunk(sources, path, chunk_id, target)
-                    moved_chunks.add((path, chunk_id))
-            # Drop per-path containers the deletions emptied.
-            for address in deleted_containers:
-                storage = daemons[address].storage
-                for path in list(storage.paths()):
-                    if not list(storage.chunk_ids(path)):
-                        storage.remove_chunks(path)
+            record_bytes = self._each(record, records.items())
+            copied = self._each(chunk, chunks.items())
         finally:
             self.bucket = saved_bucket
 
+        moved_meta = {rel for rel, n in zip(records, record_bytes) if n}
+        moved_chunks = {key for key, hit in zip(chunks, copied) if hit}
         self.report.metadata_moved += len(moved_meta - self._already_moved_meta)
         self.report.chunks_moved += len(moved_chunks - self._already_moved_chunks)
         self._already_moved_meta |= moved_meta
         self._already_moved_chunks |= moved_chunks
-        return pass_bytes
-
-    # -- release pass -------------------------------------------------------
+        return sum(record_bytes) + self.report.bytes_moved - bytes_before
 
     def release_pass(self, new_dist: Distributor) -> None:
-        """Drop source copies that the sealed placement no longer wants.
+        """Drop the copies ``new_dist`` no longer wants.  A surplus chunk
+        goes only after every desired owner serves a clean digest (not an
+        equal one — post-flip writes diverge), so a copy that rotted
+        after the move keeps its source for the scrubber."""
+        records, chunks, _ = self.scan(self._addresses(new_dist))
+        replication = self.config.replication
 
-        A chunk's surplus copy is released only after every desired owner
-        re-verifies — serves a clean ``gkfs_chunk_digest`` — so a copy
-        that rotted *after* migration still has its source available for
-        the scrubber.  (Digest *equality* with the source is not required
-        here: post-flip writes legitimately diverge the new owners from
-        the retired sources.)
-        """
-        meta_index, chunk_index = self._index()
-        daemons = self.cluster.daemons
-        for key, holders in meta_index.items():
-            rel = key.decode("utf-8")
-            desired = set(self._owners(new_dist, new_dist.locate_metadata(rel)))
-            for holder in holders:
+        def record(item) -> None:
+            rel, copies = item
+            desired = new_dist.replica_set(new_dist.locate_metadata(rel), replication)
+            for holder in copies:
                 if holder not in desired:
-                    daemons[holder].kv.delete(key)
-                    self.report.daemon_entry(holder)["records_out"] += 1
-                    self._account(holder, records_released=1)
-        touched: set[int] = set()
-        for (path, chunk_id), holders in chunk_index.items():
-            desired = set(self._owners(new_dist, new_dist.locate_chunk(path, chunk_id)))
-            surplus = [h for h in holders if h not in desired]
+                    self._drop_record(holder, rel, "records_released")
+
+        def chunk(item) -> None:
+            (path, chunk_id), copies = item
+            desired = new_dist.replica_set(new_dist.locate_chunk(path, chunk_id), replication)
+            surplus = [h for h in copies if h not in desired]
             if not surplus:
-                continue
+                return
             if self.verify:
-                for target in sorted(desired):
-                    # Raises IntegrityError if the installed copy rotted —
-                    # in which case the source stays put for repair.
-                    self.network.call(target, "gkfs_chunk_digest", path, chunk_id)
+                for target in desired:  # IntegrityError keeps the source
+                    self._call(target, "gkfs_chunk_digest", path, chunk_id)
             for holder in surplus:
-                daemons[holder].storage.truncate_chunk(path, chunk_id, 0)
-                self.report.released += 1
-                self.report.daemon_entry(holder)["chunks_out"] += 1
-                self._account(holder, chunks_released=1)
-                touched.add(holder)
-        # Drop now-empty per-path containers left behind on the sources.
-        for address in touched:
-            storage = daemons[address].storage
-            for path in list(storage.paths()):
-                if not list(storage.chunk_ids(path)):
-                    storage.remove_chunks(path)
+                self._drop_chunk(holder, path, chunk_id, "chunks_released")
+                self._count(released=1)
+
+        self._each(record, records.items())
+        self._each(chunk, chunks.items())
+
+    def restore(self) -> MigrationReport:
+        """Restore redundancy under the current placement: one pass, plus
+        a second for what foreground writes dirtied meanwhile."""
+        dist = self._placement()
+        moved = self.copy_pass(dist, count_totals=True)
+        self.report.passes += 1
+        if moved:
+            self.copy_pass(dist)
+            self.report.passes += 1
+        return self.report
+
+    # -- one chunk ----------------------------------------------------------
+
+    def resync_chunk(
+        self, rel: str, cid: int, stale: int, attempts: int = 3, exclude=()
+    ) -> str:
+        """Make a known-stale replica equal to the healthiest other
+        owner's copy, CAS-guarded, with bounded retries.
+
+        Passes cannot order two healthy same-length copies; a client
+        whose replicated write lost a leg can, and so can the scrubber,
+        whose copy fails verification.  ``exclude`` drops further owners
+        from the sources (the other legs one write lost).  Returns
+        ``"converged"``, ``"resynced"``, ``"gone"``, ``"no-source"``,
+        ``"unreachable"`` (retry later) or ``"racing"`` (requeue).
+        """
+        owners = [
+            o for o in self._chunk_owners(rel, cid)
+            if o != stale and o not in exclude
+        ]
+        if not owners:
+            return "no-source"
+        for _ in range(max(1, attempts)):
+            try:
+                mine = self._digest(stale, rel, cid)
+            except NotFoundError:
+                return "gone"
+            except _FAILURES:
+                return "unreachable"
+            copies: dict[int, dict] = {}
+            for owner in owners:
+                try:
+                    copies[owner] = self._call(owner, "gkfs_chunk_digest", rel, cid)
+                except NotFoundError:
+                    return "gone"
+                except _FAILURES:
+                    continue
+            sources = self._sources(copies, owners)
+            if not sources:
+                return "no-source"
+            try:
+                outcome = self._ensure_copy(
+                    rel, cid, stale, sources, mine, copies[sources[0]],
+                    exact=True, foreground=True,
+                )
+            except NotFoundError:
+                return "gone"
+            except _FAILURES:
+                return "unreachable"
+            if outcome == "current":
+                return "converged"
+            if outcome == "copied":
+                return "resynced"
+        return "racing"
 
 
-def _instant(cluster: "GekkoFSCluster", name: str, **args) -> None:
+# -- orchestration --------------------------------------------------------------
+
+
+def _instant(cluster, name: str, **args) -> None:
     """Emit one migration timeline event when telemetry is up."""
     collector = getattr(cluster, "trace_collector", None)
     if collector is not None:
         collector.instant(name, "migration", **args)
 
 
-def _flight_dump(cluster: "GekkoFSCluster", reason: str, **context) -> None:
-    """Snapshot every live daemon's black box (migration failure path).
+def _broadcast(cluster, handler: str, *args) -> None:
+    """Best-effort control RPC to every daemon that answers."""
+    for address in range(cluster.num_nodes):
+        try:
+            cluster.network.call(address, handler, *args)
+        except _FAILURES:
+            pass
 
-    Best-effort: a dump that cannot be written must not mask the
-    migration error that triggered it.
-    """
-    for daemon in cluster.live_daemons():
-        recorder = getattr(daemon, "flight_recorder", None)
-        if recorder is not None:
-            try:
-                recorder.dump(reason, **context)
-            except OSError:
-                pass
+
+def check_drained(cluster, addresses) -> None:
+    """Raise unless every daemon in ``addresses`` is empty (shrink guard)."""
+    for address in addresses:
+        stats = cluster.network.call(address, "gkfs_statfs")
+        if stats["metadata_records"] or stats["used_bytes"]:
+            raise RuntimeError(
+                f"daemon {address} still holds data after migration"
+            )
+
+
+def migrate(
+    cluster,
+    new_distributor: Distributor,
+    old_daemon_count: int,
+) -> MigrationReport:
+    """Offline resize between application phases: one unthrottled pass
+    plus release; the caller retires the old membership view."""
+    report = MigrationReport(
+        old_nodes=old_daemon_count, new_nodes=new_distributor.num_daemons
+    )
+    started = time.monotonic()
+    migrator = Migrator(cluster, report, verify=cluster.config.migration_verify)
+    migrator.copy_pass(
+        new_distributor, source_dist=cluster.view.distributor, count_totals=True
+    )
+    report.passes = 1
+    migrator.release_pass(new_distributor)
+    report.duration = time.monotonic() - started
+    return report
 
 
 def live_migrate(
-    cluster: "GekkoFSCluster",
+    cluster,
     new_distributor: Distributor,
     *,
     rate: Optional[float] = None,
@@ -708,14 +781,10 @@ def live_migrate(
     precopy_passes: int = _DEFAULT_PRECOPY_PASSES,
     grace: float = _DEFAULT_GRACE,
 ) -> MigrationReport:
-    """Online membership change: rebalance onto ``new_distributor`` while
-    clients keep serving.  See the module docstring for the protocol.
-
-    The cluster must already have daemons built for every address the new
-    placement spans (:meth:`~repro.core.cluster.GekkoFSCluster
-    .resize_live` handles that).  Raises whatever broke on failure; any
-    failure before the flip leaves the old placement authoritative and
-    the view aborted — safe to retry after healing.
+    """Online membership change onto ``new_distributor`` (protocol in
+    the module docstring).  Every address it spans must already serve
+    (``resize_live`` joins them first).  A failure before the flip
+    aborts with the old placement authoritative — retry after healing.
     """
     view = cluster.view
     config = cluster.config
@@ -730,13 +799,8 @@ def live_migrate(
     started = time.monotonic()
     epoch = view.begin_change(new_distributor)
     report.epoch = epoch
-    _instant(
-        cluster,
-        "migration.begin",
-        epoch=epoch,
-        old_nodes=old_dist.num_daemons,
-        new_nodes=new_distributor.num_daemons,
-    )
+    _instant(cluster, "migration.begin", epoch=epoch,
+             old_nodes=old_dist.num_daemons, new_nodes=new_distributor.num_daemons)
     migrator = Migrator(cluster, report, rate=rate, verify=verify)
     try:
         # Pre-copy rounds: foreground writes keep landing on the old
@@ -751,13 +815,9 @@ def live_migrate(
             _instant(cluster, "migration.pass", epoch=epoch, round=round_, bytes=moved)
             if moved == 0:
                 break
-        # Freeze + final delta: mutating RPCs park at the client gate;
-        # the grace sleep drains mutations already past it, then the
-        # frozen pass copies exactly what the last round missed and
-        # propagates deletions made during pre-copy (stale new-owner
-        # copies of unlinked items are dropped, not resurrected).  It
-        # runs unthrottled: the freeze must stay shorter than the client
-        # gate's timeout regardless of how low ``migration_rate`` is.
+        # Freeze + final delta: mutations park at the client gate, the
+        # grace sleep drains those already past it, and an unthrottled
+        # pass copies the rest and propagates deletions.
         view.freeze_writes()
         try:
             time.sleep(grace)
@@ -771,49 +831,34 @@ def live_migrate(
             report.passes += 1
             _instant(cluster, "migration.freeze", epoch=epoch, bytes=moved)
             view.commit_change()  # the flip: new placement authoritative
-            cluster.distributor = new_distributor
         finally:
             view.unfreeze_writes()
     except BaseException:
         if view.state == MIGRATING:
             view.abort_change()
             _instant(cluster, "migration.abort", epoch=epoch)
-            _flight_dump(cluster, "migration-abort", epoch=epoch)
+            _broadcast(cluster, "gkfs_flight_dump", "migration-abort")
         raise
     _instant(cluster, "migration.flip", epoch=epoch)
-    # RELEASING: reads that resolved targets pre-flip drain against the
-    # old owners (which still hold everything); new reads that miss fall
-    # back through the view's old-owner targets.
-    time.sleep(grace)
+    time.sleep(grace)  # RELEASING: pre-flip reads drain on the old owners
     migrator.release_pass(new_distributor)
     view.seal()
-    for daemon in cluster.live_daemons():
-        daemon.set_epoch(epoch)
+    _broadcast(cluster, "gkfs_set_epoch", epoch)
     report.duration = time.monotonic() - started
-    _instant(
-        cluster,
-        "migration.seal",
-        epoch=epoch,
-        bytes_moved=report.bytes_moved,
-        duration=report.duration,
-    )
+    _instant(cluster, "migration.seal", epoch=epoch,
+             bytes_moved=report.bytes_moved, duration=report.duration)
     return report
 
 
 def rereplicate(
-    cluster: "GekkoFSCluster",
+    cluster,
     *,
     rate: Optional[float] = None,
     verify: Optional[bool] = None,
 ) -> MigrationReport:
-    """Restore full redundancy under the *current* placement.
-
-    The crash-replace path: after a dead daemon is rebuilt empty, one
-    copy pass against the unchanged placement streams every record and
-    chunk the replacement should hold from the surviving replicas —
-    throttled and verified exactly like a rebalance.  (It is whole-
-    cluster anti-entropy: any other under-replicated item heals too.)
-    """
+    """Crash-replace: :meth:`Migrator.restore` refills a blank daemon
+    (and anything else under-replicated) from the surviving replicas,
+    throttled and verified like a rebalance."""
     config = cluster.config
     dist = cluster.view.distributor
     report = MigrationReport(
@@ -824,19 +869,8 @@ def rereplicate(
     verify = verify if verify is not None else config.migration_verify
     started = time.monotonic()
     _instant(cluster, "migration.rereplicate", epoch=report.epoch)
-    migrator = Migrator(cluster, report, rate=rate, verify=verify)
-    moved = migrator.copy_pass(dist, source_dist=dist, count_totals=True)
-    report.passes = 1
-    # A second pass converges anything dirtied while the first ran.
-    if moved:
-        migrator.copy_pass(dist, source_dist=dist)
-        report.passes += 1
+    Migrator(cluster, report, rate=rate, verify=verify).restore()
     report.duration = time.monotonic() - started
-    _instant(
-        cluster,
-        "migration.rereplicate_done",
-        epoch=report.epoch,
-        bytes_moved=report.bytes_moved,
-        duration=report.duration,
-    )
+    _instant(cluster, "migration.rereplicate_done", epoch=report.epoch,
+             bytes_moved=report.bytes_moved, duration=report.duration)
     return report

@@ -4,17 +4,17 @@ Checksums only protect the data an application happens to read; cold
 chunks rot undetected until the campaign that needs them.  The scrubber
 closes that window: it walks every live daemon's chunk store at a
 bounded rate, re-verifies each chunk against its stored digests, and
-repairs what fails from a verified surviving replica — the same
-successor-replica anti-entropy that daemon restart recovery uses
-(:mod:`repro.faults.recovery`).  A corrupt chunk with no verified
-replica anywhere is *quarantined*: the storage layer fails subsequent
-verified reads for it loudly (``EIO``) instead of serving plausible
-garbage, and :mod:`repro.core.fsck` surfaces it in the damage report.
+repairs what fails from a verified surviving replica through the replica
+engine (:meth:`repro.core.resize.Migrator.resync_chunk`).  A corrupt
+chunk with no verified replica anywhere is *quarantined*: the storage
+layer fails subsequent verified reads for it loudly (``EIO``) instead of
+serving plausible garbage, and :mod:`repro.core.fsck` surfaces it in the
+damage report.
 
-Like recovery, scrubbing runs on the management plane (direct daemon
-access), not over client RPC — it is a deployment maintenance task, the
-software analogue of the patrol reads an enterprise RAID controller
-schedules.  One :meth:`Scrubber.run` call is one full pass; the
+Detection is a local verify scan on the management plane (direct daemon
+access) — a deployment maintenance task, the software analogue of the
+patrol reads an enterprise RAID controller schedules.  One
+:meth:`Scrubber.run` call is one full pass; the
 :meth:`Scrubber.start`/:meth:`Scrubber.stop` pair runs passes on an
 interval from a background thread, rate-limited so a scrub never
 competes seriously with foreground I/O.
@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.faults.recovery import _replica_set
+from repro.core.resize import Migrator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import GekkoFSCluster
@@ -100,6 +100,7 @@ class Scrubber:
             raise ValueError(f"rate_limit must be > 0, got {rate_limit}")
         self.cluster = cluster
         self.rate_limit = rate_limit
+        self._engine = Migrator(cluster, strict=False)
         self._sleep = sleep
         self.last_report: Optional[ScrubReport] = None
         self.passes = 0
@@ -179,38 +180,20 @@ class Scrubber:
     def _repair(self, daemon: "GekkoDaemon", path: str, chunk_id: int) -> bool:
         """Rewrite one corrupt chunk from a verified replica, if any.
 
-        Walks the chunk's successor replica set (minus the damaged
-        holder) and takes the first copy that verifies against *its*
-        stored digests — a corrupt replica must never be the repair
-        source.  ``replace_chunk`` re-checksums and lifts quarantine.
+        The replica engine's per-chunk primitive does the work over RPC:
+        only a copy that verifies against *its* stored digests may be the
+        source, and the whole-chunk replace re-checksums and lifts
+        quarantine.
         """
-        cluster = self.cluster
-        primary = cluster.distributor.locate_chunk(path, chunk_id)
-        for peer_address in _replica_set(cluster, primary):
-            if peer_address == daemon.address:
-                continue
-            if not cluster.daemon_alive(peer_address):
-                continue
-            peer = cluster.daemons[peer_address]
-            if not peer.storage.integrity or not peer.storage.verify_chunk(
-                path, chunk_id
-            ):
-                continue
-            data = peer.storage.read_chunk(
-                path, chunk_id, 0, cluster.config.chunk_size
-            )
-            if not data:
-                continue
-            daemon.storage.replace_chunk(path, chunk_id, data)
-            self._note(
-                "integrity.scrub.repair",
-                daemon=daemon.address,
-                source=peer_address,
-                path=path,
-                chunk_id=chunk_id,
-            )
-            return True
-        return False
+        if self._engine.resync_chunk(path, chunk_id, daemon.address) != "resynced":
+            return False
+        self._note(
+            "integrity.scrub.repair",
+            daemon=daemon.address,
+            path=path,
+            chunk_id=chunk_id,
+        )
+        return True
 
     def _pace(self) -> None:
         if self.rate_limit is not None:

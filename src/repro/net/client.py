@@ -77,6 +77,7 @@ IDEMPOTENT_HANDLERS = frozenset(
         "gkfs_statfs",
         "gkfs_metrics",
         "gkfs_chunk_digest",
+        "gkfs_scan",
         "gkfs_ping",
         "gkfs_trace_dump",
         "gkfs_metrics_window",

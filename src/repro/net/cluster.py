@@ -5,16 +5,19 @@ Three pieces, layered:
 * :class:`SocketDeployment` — the *client side* of a socket cluster: an
   address book (daemon id → endpoint), the full client transport stack
   (sockets → retry/breaker → instrumentation, identical wiring to
-  :class:`~repro.core.cluster.GekkoFSCluster`), and a client factory.
-  This is GekkoFS's hosts file made live: any process that can parse the
-  address book can mount the file system.
+  :class:`~repro.core.cluster.GekkoFSCluster`), the membership view its
+  epoch-stamped clients route through, and a client factory.  This is
+  GekkoFS's hosts file made live: any process that can parse the address
+  book can mount the file system.
 * :class:`LocalSocketCluster` — every daemon in *this* process, each
   behind a real socket.  The whole wire stack without process
   management; what tests and single-process baselines use.
 * :class:`ProcessCluster` — one OS process per daemon (``repro serve``
   children), bound ports scraped from their READY lines.  The paper's
   actual deployment shape: daemons with private memory on separate
-  cores, clients reaching them only through the fabric.
+  cores, clients reaching them only through the fabric.  It grows and
+  shrinks live (:meth:`ProcessCluster.resize_live`) through the
+  wire-only replica engine of :mod:`repro.core.resize`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from repro.core.client import GekkoFSClient
 from repro.core.cluster import node_dir
@@ -51,10 +54,12 @@ from repro.rpc import (
     RpcNetwork,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.resize import MigrationReport
+
 __all__ = [
     "SocketDeployment",
     "LocalSocketCluster",
-    "ElasticLocalSocketCluster",
     "ProcessCluster",
 ]
 
@@ -89,12 +94,16 @@ class SocketDeployment:
                 f"daemon addresses must be 0..{self.num_nodes - 1}, "
                 f"got {sorted(addresses)}"
             )
-        self.distributor = distributor or SimpleHashDistributor(self.num_nodes)
-        if self.distributor.num_daemons != self.num_nodes:
+        distributor = distributor or SimpleHashDistributor(self.num_nodes)
+        if distributor.num_daemons != self.num_nodes:
             raise ValueError(
-                f"distributor spans {self.distributor.num_daemons} daemons, "
+                f"distributor spans {distributor.num_daemons} daemons, "
                 f"address book has {self.num_nodes}"
             )
+        #: The versioned placement every client routes through, so a
+        #: live resize reaches them without a rebuild (see
+        #: :mod:`repro.core.membership`).
+        self.view = MembershipView(distributor)
         self.network = RpcNetwork()
         self.trace_collector = None
         if self.config.telemetry_enabled:
@@ -138,9 +147,15 @@ class SocketDeployment:
             self.network.transport = self.transport
         self._client_ids = itertools.count()
 
+    @property
+    def distributor(self) -> Distributor:
+        """The authoritative placement (the view's, so it follows resizes)."""
+        return self.view.distributor
+
     def client(self, node_id: int = 0) -> GekkoFSClient:
         """A client as it would run on ``node_id`` (same semantics as
-        :meth:`repro.core.cluster.GekkoFSCluster.client`)."""
+        :meth:`repro.core.cluster.GekkoFSCluster.client`): epoch-stamped,
+        placement from the live view, writes parked at the freeze gate."""
         if not 0 <= node_id < self.num_nodes:
             raise ValueError(f"node_id {node_id} out of range [0, {self.num_nodes})")
         network = self.network
@@ -153,7 +168,8 @@ class SocketDeployment:
                 window_max=self.config.qos_window_max,
                 throttle_retries=self.config.qos_throttle_retries,
             )
-        return GekkoFSClient(network, self.distributor, self.config, node_id)
+        network = EpochStampedNetwork(network, self.view)
+        return GekkoFSClient(network, self.view, self.config, node_id)
 
     def add_daemon(self, address: int, spec) -> None:
         """Register (or re-point) one daemon endpoint in the live address
@@ -171,6 +187,10 @@ class SocketDeployment:
             self.health.reset(address)
         if address >= self.num_nodes:
             self.num_nodes = address + 1
+        if self.view.epoch:
+            # A (re)started daemon must enforce the current epoch floor
+            # like its peers, or retired clients could write through it.
+            self.network.call(address, "gkfs_set_epoch", self.view.epoch)
 
     def format(self) -> None:
         """Create the root directory record on its owner daemon(s).
@@ -179,16 +199,11 @@ class SocketDeployment:
         record), so every launcher and late-joining client may call it.
         """
         root_md = new_dir_metadata(maintain_times=self.config.maintain_mtime)
-        owner = self.distributor.locate_metadata("/")
-        replicas = min(self.config.replication, self.num_nodes)
-        for i in range(replicas):
-            self.network.call(
-                (owner + i) % self.num_nodes,
-                "gkfs_create",
-                "/",
-                root_md.encode(),
-                False,
-            )
+        dist = self.distributor
+        for address in dist.replica_set(
+            dist.locate_metadata("/"), self.config.replication
+        ):
+            self.network.call(address, "gkfs_create", "/", root_md.encode(), False)
 
     def shutdown(self) -> None:
         self.socket_transport.shutdown()
@@ -216,6 +231,10 @@ class _SocketClusterBase:
     @property
     def distributor(self) -> Distributor:
         return self.deployment.distributor
+
+    @property
+    def view(self) -> MembershipView:
+        return self.deployment.view
 
     @property
     def network(self) -> RpcNetwork:
@@ -323,89 +342,6 @@ class LocalSocketCluster(_SocketClusterBase):
             self._wipe()
 
 
-class ElasticLocalSocketCluster(LocalSocketCluster):
-    """A :class:`LocalSocketCluster` with live membership: the PR 7
-    elastic protocol (``live_migrate`` / ``rereplicate``) running over
-    real sockets.
-
-    The migrator needs two things a plain socket deployment lacks: a
-    versioned :class:`~repro.core.membership.MembershipView` that every
-    client routes through (so the write freeze and the epoch flip reach
-    them), and white-box daemon objects for its source-side scans.  An
-    in-process socket cluster has both — ``served[i].daemon`` is the
-    real :class:`~repro.core.daemon.GekkoDaemon` behind the socket — so
-    this adapter only has to expose the :class:`~repro.core.cluster
-    .GekkoFSCluster` elastic surface over the wire stack.  That makes it
-    the vehicle for crash-during-migration tests with real connection
-    failures, and for supervisors that must stamp repairs with the live
-    epoch.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.view = MembershipView(self.deployment.distributor)
-
-    # -- GekkoFSCluster elastic surface ------------------------------------
-
-    @property
-    def daemons(self):
-        """White-box daemon objects, indexed by address (migrator API)."""
-        return [served.daemon for served in self.served]
-
-    @property
-    def crashed_daemons(self) -> set:
-        return set(self._crashed)
-
-    def live_daemons(self) -> list:
-        return [
-            served.daemon
-            for address, served in enumerate(self.served)
-            if address not in self._crashed
-        ]
-
-    @property
-    def distributor(self) -> Distributor:
-        return self.deployment.distributor
-
-    @distributor.setter
-    def distributor(self, value: Distributor) -> None:
-        # The migrator's post-flip sync; clients keep routing through
-        # the view, the deployment book is for view-less consumers.
-        self.deployment.distributor = value
-
-    def client(self, node_id: int = 0) -> GekkoFSClient:
-        """An epoch-stamped client: placement from the live view, writes
-        parked at the freeze gate, retired views failing loudly."""
-        if not 0 <= node_id < self.num_nodes:
-            raise ValueError(
-                f"node_id {node_id} out of range [0, {self.num_nodes})"
-            )
-        network = self.deployment.network
-        if self.config.qos_enabled:
-            network = ClientPort(
-                network,
-                next(self.deployment._client_ids),
-                window_enabled=self.config.qos_window_enabled,
-                window_initial=self.config.qos_window_initial,
-                window_max=self.config.qos_window_max,
-                throttle_retries=self.config.qos_throttle_retries,
-            )
-        network = EpochStampedNetwork(network, self.view)
-        return GekkoFSClient(network, self.view, self.config, node_id)
-
-    def migration_network(self):
-        """The migrator's port: deliberately *not* epoch-stamped — the
-        migration plane must keep writing through its own freeze."""
-        return self.deployment.network
-
-    def restart_daemon(self, address: int) -> str:
-        spec = super().restart_daemon(address)
-        # The replacement must enforce the current epoch floor like its
-        # predecessor did, or retired clients could write through it.
-        self.served[address].daemon.set_epoch(self.view.epoch)
-        return spec
-
-
 class _Pump(threading.Thread):
     """Drain one child stream, scraping the READY line and keeping a tail."""
 
@@ -470,23 +406,7 @@ class ProcessCluster(_SocketClusterBase):
         self.processes: list[subprocess.Popen] = []
         self._pumps: list[tuple[_Pump, _Pump]] = []
         try:
-            for node in range(num_nodes):
-                proc, pumps = self._launch(node)
-                self.processes.append(proc)
-                self._pumps.append(pumps)
-            addresses = {}
-            deadline = time.monotonic() + startup_timeout
-            for node, (out_pump, err_pump) in enumerate(self._pumps):
-                remaining = deadline - time.monotonic()
-                if not out_pump.ready_event.wait(max(0.0, remaining)) or (
-                    out_pump.ready_addr is None
-                ):
-                    raise RuntimeError(
-                        f"daemon {node} did not come up within "
-                        f"{startup_timeout}s; stderr tail: "
-                        f"{list(err_pump.tail)[-5:]}"
-                    )
-                addresses[node] = out_pump.ready_addr
+            addresses = self._spawn(range(num_nodes))
             self.deployment = SocketDeployment(
                 addresses,
                 config=config,
@@ -523,32 +443,42 @@ class ProcessCluster(_SocketClusterBase):
             _Pump(proc.stderr, f"gkfs-pump-err-{node}"),
         )
 
-    def _spawn_and_scrape(self, node: int) -> str:
-        """Fork daemon ``node``, wait for READY, return its bound endpoint.
+    def _spawn(self, nodes) -> dict[int, str]:
+        """Fork daemons ``nodes`` together and wait for every READY line.
 
-        The child slot in :attr:`processes`/:attr:`_pumps` is replaced
-        (or appended for a brand-new address).
+        Each child takes its slot in :attr:`processes`/:attr:`_pumps`
+        (replaced, or appended for a brand-new address).  Returns
+        ``{node: bound endpoint}``; if any child fails to come up, the
+        whole batch is killed and ``RuntimeError`` raised.
         """
-        proc, pumps = self._launch(node)
-        out_pump, err_pump = pumps
-        if not out_pump.ready_event.wait(self._startup_timeout) or (
-            out_pump.ready_addr is None
-        ):
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
-            raise RuntimeError(
-                f"daemon {node} did not come up within "
-                f"{self._startup_timeout}s; stderr tail: "
-                f"{list(err_pump.tail)[-5:]}"
-            )
-        if node < len(self.processes):
-            self.processes[node] = proc
-            self._pumps[node] = pumps
-        else:
-            self.processes.append(proc)
-            self._pumps.append(pumps)
-        return out_pump.ready_addr
+        batch = []
+        for node in nodes:  # slot each child at once: failures can reap it
+            proc, pumps = self._launch(node)
+            if node < len(self.processes):
+                self.processes[node] = proc
+                self._pumps[node] = pumps
+            else:
+                self.processes.append(proc)
+                self._pumps.append(pumps)
+            batch.append((node, proc, pumps))
+        specs = {}
+        deadline = time.monotonic() + self._startup_timeout
+        for node, _proc, (out_pump, err_pump) in batch:
+            remaining = deadline - time.monotonic()
+            if not out_pump.ready_event.wait(max(0.0, remaining)) or (
+                out_pump.ready_addr is None
+            ):
+                for _node, proc, _pumps in batch:
+                    if proc.poll() is None:
+                        proc.kill()
+                    proc.wait()
+                raise RuntimeError(
+                    f"daemon {node} did not come up within "
+                    f"{self._startup_timeout}s; stderr tail: "
+                    f"{list(err_pump.tail)[-5:]}"
+                )
+            specs[node] = out_pump.ready_addr
+        return specs
 
     def restart_daemon(self, address: int) -> str:
         """Respawn a dead daemon under the same identity and re-point the
@@ -565,7 +495,7 @@ class ProcessCluster(_SocketClusterBase):
                 f"daemon {address} is still running (pid {proc.pid}); "
                 f"kill or terminate it first"
             )
-        spec = self._spawn_and_scrape(address)
+        spec = self._spawn([address])[address]
         self.deployment.add_daemon(address, spec)
         return spec
 
@@ -574,12 +504,59 @@ class ProcessCluster(_SocketClusterBase):
 
         Returns the new daemon's address.  Placement is unchanged until
         the caller installs a wider distributor and migrates (see
-        :meth:`SocketDeployment.add_daemon`).
+        :meth:`resize_live`).
         """
         node = len(self.processes)
-        spec = self._spawn_and_scrape(node)
-        self.deployment.add_daemon(node, spec)
+        self.deployment.add_daemon(node, self._spawn([node])[node])
         return node
+
+    def resize_live(
+        self,
+        new_num_nodes: int,
+        distributor_factory: Optional[Callable[[int], Distributor]] = None,
+        *,
+        rate: Optional[float] = None,
+        verify: Optional[bool] = None,
+    ) -> "MigrationReport":
+        """Grow or shrink **online**: clients keep serving throughout.
+
+        The multi-process twin of
+        :meth:`~repro.core.cluster.GekkoFSCluster.resize_live`: joins new
+        daemon processes first (live join, as :meth:`add_daemon`), then drives
+        :func:`~repro.core.resize.live_migrate` purely over the wire —
+        the replica engine's scans and copies, ``gkfs_set_epoch`` seals
+        and ``gkfs_flight_dump`` snapshots are all RPCs.  On shrink the
+        drained daemons are terminated afterwards.  Any failure before
+        the flip aborts with the old placement authoritative.
+        """
+        from repro.core.resize import check_drained, live_migrate
+
+        if new_num_nodes <= 0:
+            raise ValueError(f"new_num_nodes must be > 0, got {new_num_nodes}")
+        dead = [a for a in range(len(self.processes)) if not self.daemon_alive(a)]
+        if dead:
+            raise RuntimeError(
+                f"cannot resize with dead daemons {dead}; restart them first"
+            )
+        factory = distributor_factory or type(self.distributor)
+        new_distributor = factory(new_num_nodes)
+        if new_distributor.num_daemons != new_num_nodes:
+            raise ValueError("distributor_factory produced a mismatched span")
+        # Live join, all at once: the new daemons start in parallel.
+        joining = range(len(self.processes), new_num_nodes)
+        for node, spec in self._spawn(joining).items():
+            self.deployment.add_daemon(node, spec)
+        report = live_migrate(
+            self.deployment, new_distributor, rate=rate, verify=verify
+        )
+        retired = range(new_num_nodes, len(self.processes))
+        check_drained(self.deployment, retired)
+        for address in retired:
+            self.terminate_daemon(address)
+        del self.processes[new_num_nodes:]
+        del self._pumps[new_num_nodes:]
+        self.deployment.num_nodes = new_num_nodes
+        return report
 
     def daemon_pid(self, address: int) -> int:
         return self.processes[address].pid
@@ -623,7 +600,7 @@ class ProcessCluster(_SocketClusterBase):
         ``kv_dir``/``data_dir`` so the replacement starts empty, and
         respawns under the same identity.  Restoring redundancy from the
         surviving replicas is the caller's job (``selfheal.WireRepairer``
-        or the migration lane's ``rereplicate``).  Returns the new
+        or ``core.resize.rereplicate``).  Returns the new
         endpoint spec.
         """
         proc = self.processes[address]
@@ -634,7 +611,7 @@ class ProcessCluster(_SocketClusterBase):
             directory = node_dir(base, address)
             if directory is not None and os.path.isdir(directory):
                 shutil.rmtree(directory, ignore_errors=True)
-        spec = self._spawn_and_scrape(address)
+        spec = self._spawn([address])[address]
         self.deployment.add_daemon(address, spec)
         return spec
 

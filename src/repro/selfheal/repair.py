@@ -1,53 +1,32 @@
-"""Wire-level redundancy repair: rebuild a blank daemon from replicas.
+"""Wire-level redundancy repair: the supervisor's restore verb.
 
-``core/resize.py`` repairs through white-box daemon objects
-(``cluster.daemons[addr].kv``), which works for in-process clusters but
-not for a :class:`~repro.net.cluster.ProcessCluster` — there the dead
-daemon's replacement is a separate OS process reachable only over RPC.
-:class:`WireRepairer` is the over-the-wire equivalent of the migration
-lane's ``rereplicate``: pure client-side, driving only existing daemon
-handlers (``gkfs_readdir_plus`` / ``gkfs_stat`` / ``gkfs_create`` /
-``gkfs_read_chunk`` / ``gkfs_replace_chunk`` / ``gkfs_chunk_digest``),
-so it runs against any deployment a client can mount.
+:class:`WireRepairer` is the replica engine
+(:class:`~repro.core.resize.Migrator`) bound to a deployment's *current*
+placement in lenient mode: one restore (a pass, plus a second to
+converge what foreground writes dirtied meanwhile) brings every replica
+that is missing, shorter or rotted back from the surviving copies, over
+plain RPCs — so it runs against any deployment a client can mount,
+in-process or a :class:`~repro.net.cluster.ProcessCluster` alike.
+Daemons that do not answer are noted in the report, not fatal.
 
-Algorithm, per pass:
-
-1. snapshot the epoch watermark (max ``min_epoch`` over reachable
-   daemons' pings) — if it moves while we copy, a membership change ran
-   concurrently and the pass result is untrustworthy: raise, let the
-   supervisor retry under the new epoch;
-2. walk the namespace from ``/`` by broadcasting ``readdir_plus`` to
-   every daemon and merging (the client's own eventually-consistent
-   listing, tolerant of unreachable daemons);
-3. for every path, re-create missing metadata records on each desired
-   replica owner (``gkfs_create`` without ``O_EXCL`` is idempotent — an
-   existing record always wins, so concurrent foreground writes are
-   never clobbered);
-4. for every file chunk, compare ``gkfs_chunk_digest`` across the
-   desired owners: an owner with no payload, a shorter payload, or one
-   whose integrity verification fails (bitrot) is restored from the
-   longest healthy copy via ``read_chunk`` → ``replace_chunk``
-   (whole-payload CRC checked by the target before storing) and
-   digest-verified after — guarded by a CAS-style re-read of the
-   target's digest immediately before the replace, so a foreground
-   write that lands after the snapshot is never rolled back by the
-   stale payload.
+Around the pass it snapshots the epoch watermark (max ``min_epoch`` over
+reachable daemons' pings, or the view's epoch): if it moves while the
+pass copies, a membership change ran concurrently and the result is
+untrustworthy — :class:`EpochMovedError` tells the supervisor to rerun
+under the new placement.
 
 The repairer restores *redundancy*, deliberately not *consensus*: two
 healthy same-length divergent copies (a write raced the crash) are left
-for the integrity plane's read-repair to settle — overwriting either
-from here could lose an acked write.
+for :meth:`~repro.core.resize.Migrator.resync_chunk`, fed by the
+clients' dirty-replica ledgers — overwriting either from here could lose
+an acked write.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
 
-from repro.common.errors import IntegrityError, NotFoundError
-from repro.core.metadata import Metadata
-from repro.storage.integrity import chunk_checksum
+from repro.core.resize import MigrationReport, Migrator
 
 __all__ = ["WireRepairer", "RepairReport", "EpochMovedError"]
 
@@ -56,19 +35,9 @@ class EpochMovedError(RuntimeError):
     """The membership epoch advanced mid-repair; the pass must rerun."""
 
 
-def _digest_unchanged(before: Optional[dict], after: Optional[dict]) -> bool:
-    """Same copy state across two digest reads (``None`` = rotted)."""
-    if before is None or after is None:
-        return before is None and after is None
-    return (
-        before["length"] == after["length"]
-        and before["digest"] == after["digest"]
-    )
-
-
 @dataclass
 class RepairReport:
-    """What one repair pass did."""
+    """What one repair did (the supervisor's journal payload)."""
 
     paths_seen: int = 0
     records_restored: int = 0
@@ -79,24 +48,29 @@ class RepairReport:
     unreachable: list = field(default_factory=list)
     epoch: int = 0
 
+    @classmethod
+    def from_engine(cls, report: MigrationReport) -> "RepairReport":
+        return cls(
+            paths_seen=report.metadata_total,
+            records_restored=report.metadata_moved,
+            chunks_checked=report.chunks_total,
+            chunks_restored=report.chunks_moved,
+            chunks_skipped_racing=report.skipped_racing,
+            bytes_restored=report.bytes_moved,
+            unreachable=list(report.unreachable),
+            epoch=report.epoch or 0,
+        )
+
     def as_dict(self) -> dict:
-        return {
-            "paths_seen": self.paths_seen,
-            "records_restored": self.records_restored,
-            "chunks_checked": self.chunks_checked,
-            "chunks_restored": self.chunks_restored,
-            "chunks_skipped_racing": self.chunks_skipped_racing,
-            "bytes_restored": self.bytes_restored,
-            "unreachable": sorted(set(self.unreachable)),
-            "epoch": self.epoch,
-        }
+        return {**asdict(self), "unreachable": sorted(set(self.unreachable))}
 
 
-class WireRepairer:
+class WireRepairer(Migrator):
     """Restore full replication over plain RPCs.
 
-    :param deployment: address book + transport stack
-        (:class:`~repro.net.cluster.SocketDeployment` or compatible).
+    :param deployment: any deployment the replica engine accepts
+        (:class:`~repro.net.cluster.SocketDeployment`,
+        :class:`~repro.core.cluster.GekkoFSCluster`).
     :param view: optional :class:`~repro.core.membership.MembershipView`;
         when given, calls are stamped with its epoch (so a daemon sealed
         past us rejects the repair with ``StaleEpochError`` instead of
@@ -105,259 +79,42 @@ class WireRepairer:
     """
 
     def __init__(self, deployment, view=None):
+        super().__init__(deployment, strict=False, view=view)
         self.deployment = deployment
-        self.view = view
-
-    # -- plumbing -------------------------------------------------------------
-
-    @property
-    def _n(self) -> int:
-        return self.deployment.num_nodes
-
-    @property
-    def _replication(self) -> int:
-        return min(self.deployment.config.replication, self._n)
-
-    def _call(self, target: int, handler: str, *args):
-        epoch = None if self.view is None else self.view.epoch
-        return self.deployment.network.call(target, handler, *args, epoch=epoch)
-
-    def _meta_owners(self, rel: str) -> list:
-        primary = self.deployment.distributor.locate_metadata(rel)
-        return [(primary + i) % self._n for i in range(self._replication)]
-
-    def _chunk_owners(self, rel: str, cid: int) -> list:
-        primary = self.deployment.distributor.locate_chunk(rel, cid)
-        return [(primary + i) % self._n for i in range(self._replication)]
 
     def _epoch_watermark(self) -> int:
         if self.view is not None:
             return self.view.epoch
         watermark = 0
-        for address in range(self._n):
+        for address in range(self.deployment.num_nodes):
             try:
                 reply = self._call(address, "gkfs_ping")
-            except Exception:
+            except Exception:  # unreachable: no vote
                 continue
             watermark = max(watermark, int(reply.get("min_epoch", 0)))
         return watermark
 
-    # -- namespace walk -------------------------------------------------------
-
-    def _merged_readdir_plus(self, rel: str, report: RepairReport) -> dict:
-        """name → record over every reachable daemon (first copy wins)."""
-        entries: dict[str, bytes] = {}
-        for address in range(self._n):
-            try:
-                listing = self._call(address, "gkfs_readdir_plus", rel)
-            except Exception:
-                report.unreachable.append(address)
-                continue
-            for name, record in listing:
-                entries.setdefault(name, record)
-        return entries
-
-    def _walk(self, report: RepairReport) -> list:
-        """Every (rel, record) under ``/``, directories before children."""
-        found = []
-        stack = ["/"]
-        while stack:
-            directory = stack.pop()
-            for name, record in self._merged_readdir_plus(
-                directory, report
-            ).items():
-                rel = (
-                    directory + name
-                    if directory.endswith("/")
-                    else f"{directory}/{name}"
-                )
-                found.append((rel, record))
-                if Metadata.decode(record).is_dir:
-                    stack.append(rel)
-        return found
-
-    # -- repair passes --------------------------------------------------------
-
-    def _ensure_record(self, rel: str, record: bytes, report: RepairReport):
-        for owner in self._meta_owners(rel):
-            try:
-                self._call(owner, "gkfs_stat", rel)
-                continue
-            except NotFoundError:
-                pass  # missing — restore below
-            except Exception:
-                report.unreachable.append(owner)
-                continue
-            try:
-                self._call(owner, "gkfs_create", rel, record, False)
-                report.records_restored += 1
-            except Exception:
-                report.unreachable.append(owner)
-
-    def _chunk_payload(self, source: int, rel: str, cid: int) -> bytes:
-        chunk_size = self.deployment.config.chunk_size
-        reply = self._call(source, "gkfs_read_chunk", rel, cid, 0, chunk_size)
-        if isinstance(reply, dict):  # integrity-verified read shape
-            return reply["data"]
-        return reply
-
-    def _ensure_chunk(self, rel: str, cid: int, report: RepairReport) -> None:
-        report.chunks_checked += 1
-        digests: dict[int, Optional[dict]] = {}
-        rotted = []
-        for owner in self._chunk_owners(rel, cid):
-            try:
-                digests[owner] = self._call(owner, "gkfs_chunk_digest", rel, cid)
-            except IntegrityError:
-                digests[owner] = None  # present but rotted: needs restore
-                rotted.append(owner)
-            except Exception:
-                report.unreachable.append(owner)
-        healthy = {
-            owner: d for owner, d in digests.items()
-            if d is not None and d["length"] > 0
-        }
-        if not healthy:
-            return  # sparse chunk (or no surviving copy to restore from)
-        source = max(healthy, key=lambda o: healthy[o]["length"])
-        want = healthy[source]
-        payload = None
-        crc = None
-        for owner, digest in digests.items():
-            missing = digest is None or digest["length"] == 0
-            shorter = (
-                digest is not None and 0 < digest["length"] < want["length"]
-            )
-            if not missing and not shorter:
-                continue  # healthy, or divergent-at-same-length (leave it)
-            if payload is None:
-                payload = self._chunk_payload(source, rel, cid)
-                crc = chunk_checksum(
-                    payload, 0, self.deployment.config.integrity_algorithm
-                )
-            # CAS guard: re-read the copy immediately before replacing.
-            # The snapshot above is stale by now — a foreground write
-            # landing on this owner in between makes the copy *newer*
-            # than the source payload, and overwriting it would roll an
-            # acked write back undetectably (the post-restore check
-            # compares against the source digest, which the rollback
-            # matches by construction).  Any change since the snapshot
-            # skips this owner; the next pass re-evaluates.
-            try:
-                current = self._call(owner, "gkfs_chunk_digest", rel, cid)
-            except IntegrityError:
-                current = None
-            except Exception:
-                report.unreachable.append(owner)
-                continue
-            if not _digest_unchanged(digest, current):
-                report.chunks_skipped_racing += 1
-                continue
-            self._call(owner, "gkfs_replace_chunk", rel, cid, payload, crc)
-            check = self._call(owner, "gkfs_chunk_digest", rel, cid)
-            if check["digest"] != want["digest"]:
-                raise IntegrityError(
-                    f"restored chunk {cid} of {rel!r} on daemon {owner} "
-                    f"fails digest verification"
-                )
-            report.chunks_restored += 1
-            report.bytes_restored += len(payload)
-
-    def resync_chunk(
-        self, rel: str, cid: int, stale: int, attempts: int = 3, exclude=()
-    ) -> str:
-        """Push the authoritative copy of one chunk over a stale replica.
-
-        Redundancy repair (:meth:`repair`) cannot arbitrate two healthy
-        same-length copies — digests carry no order.  The *client* can:
-        when a replicated write acks with one leg failed, the surviving
-        leg is authoritative by construction and the failed leg is dirty.
-        This method settles exactly that case: copy the chunk from the
-        healthiest surviving owner onto ``stale``, digest-guarded, with
-        bounded retries against racing foreground writes.
-
-        Returns one of ``"converged"`` (copies already agree),
-        ``"resynced"``, ``"gone"`` (file or chunk no longer exists),
-        ``"no-source"`` (no surviving healthy copy to push),
-        ``"unreachable"`` (the stale daemon is down — retry later), or
-        ``"racing"`` (foreground writes kept moving the chunk; the
-        caller should requeue).
-
-        ``exclude`` removes further owners from source consideration —
-        the other legs the same write lost, when replication > 2.
-        """
-        sources = [
-            o for o in self._chunk_owners(rel, cid)
-            if o != stale and o not in exclude
-        ]
-        if not sources:
-            return "no-source"
-        for _ in range(max(1, attempts)):
-            try:
-                mine = self._call(stale, "gkfs_chunk_digest", rel, cid)
-            except NotFoundError:
-                return "gone"
-            except IntegrityError:
-                mine = None  # rotted: any healthy source wins
-            except Exception:
-                return "unreachable"
-            healthy: dict[int, dict] = {}
-            for owner in sources:
-                try:
-                    digest = self._call(owner, "gkfs_chunk_digest", rel, cid)
-                except NotFoundError:
-                    return "gone"
-                except Exception:
-                    continue
-                if digest is not None and digest["length"] > 0:
-                    healthy[owner] = digest
-            if not healthy:
-                return "no-source"
-            source = max(healthy, key=lambda o: healthy[o]["length"])
-            want = healthy[source]
-            if mine is not None and mine["digest"] == want["digest"]:
-                return "converged"
-            try:
-                payload = self._chunk_payload(source, rel, cid)
-                crc = chunk_checksum(
-                    payload, 0, self.deployment.config.integrity_algorithm
-                )
-                self._call(stale, "gkfs_replace_chunk", rel, cid, payload, crc)
-                check = self._call(stale, "gkfs_chunk_digest", rel, cid)
-            except NotFoundError:
-                return "gone"
-            except Exception:
-                return "unreachable"
-            if check["digest"] == want["digest"]:
-                return "resynced"
-            # A foreground write landed between copy and verify; loop.
-        return "racing"
-
     def repair(self) -> RepairReport:
-        """One full restore-redundancy pass over the namespace.
+        """One restore over the current placement.
 
         Raises :class:`EpochMovedError` when a membership change commits
         underneath the pass — the caller (the supervisor) re-runs under
         the new placement.  Safe to run concurrently with foreground
-        traffic: every restore is either create-if-absent or a
-        whole-chunk replace CAS-guarded against the target having
-        changed since the digest snapshot (a changed copy took a
-        foreground write and is skipped, never overwritten).
+        traffic: every restore is CAS-guarded against the target having
+        changed since the scan (a changed copy took a foreground write
+        and is skipped, never overwritten).
         """
-        report = RepairReport()
-        report.epoch = before = self._epoch_watermark()
-        chunk_size = self.deployment.config.chunk_size
-        for rel, record in self._walk(report):
-            report.paths_seen += 1
-            self._ensure_record(rel, record, report)
-            meta = Metadata.decode(record)
-            if meta.is_dir or meta.size == 0:
-                continue
-            for cid in range(math.ceil(meta.size / chunk_size)):
-                self._ensure_chunk(rel, cid, report)
+        before = self._epoch_watermark()
+        span = self._placement().num_daemons
+        self.report = MigrationReport(
+            old_nodes=span, new_nodes=span, mode="repair", epoch=before
+        )
+        self._already_moved_meta = set()
+        self._already_moved_chunks = set()
+        self.restore()
         after = self._epoch_watermark()
         if after != before:
             raise EpochMovedError(
                 f"membership epoch moved {before} -> {after} during repair"
             )
-        return report
+        return RepairReport.from_engine(self.report)

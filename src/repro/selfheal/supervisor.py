@@ -34,8 +34,9 @@ Safety rails, because an over-eager repairer is worse than none:
   epoch keeps the repair from racing it).
 
 Every decision is journaled (:attr:`journal`, plain dicts with
-timestamps), counted as ``selfheal.*`` metrics, and — when a trace
-collector is attached — emitted as ``selfheal.*`` instant events.
+timestamps; ``repair_complete`` entries carry per-phase seconds),
+counted as ``selfheal.*`` metrics, and — when a trace collector is
+attached — emitted as ``selfheal.*`` instant events.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ _BENIGN_STAMPS = frozenset({"periodic", "shutdown"})
 class Supervisor:
     """Autonomous crash repair over a live cluster.
 
-    :param cluster: a cluster with a ``deployment`` plus repair verbs —
+    :param cluster: a cluster with repair verbs —
         ``restart_daemon(address)`` and optionally ``daemon_alive``,
-        ``kill_daemon``, ``replace_daemon`` (duck-typed:
+        ``kill_daemon``/``crash_daemon``, ``replace_daemon`` (duck-typed:
         :class:`~repro.net.cluster.ProcessCluster`,
-        :class:`~repro.net.cluster.LocalSocketCluster`, or the elastic
-        socket variant all fit).
+        :class:`~repro.net.cluster.LocalSocketCluster` and
+        :class:`~repro.core.cluster.GekkoFSCluster` all fit); repairs run
+        against its ``deployment``, or the cluster itself in-process.
     :param detector: the detector to subscribe to; the supervisor owns
         its poll cadence when run as a thread (:meth:`start`).
     :param view: optional membership view for epoch-stamped repairs.
@@ -102,7 +104,9 @@ class Supervisor:
         self.flap_window = flap_window
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
-        self.repairer = repairer or WireRepairer(cluster.deployment, view=view)
+        self.repairer = repairer or WireRepairer(
+            getattr(cluster, "deployment", cluster), view=view
+        )
         self.collector = collector
         self.clock = clock
         self.metrics = MetricsRegistry()
@@ -114,6 +118,8 @@ class Supervisor:
         self._ledger: dict[int, dict] = {}
         self._clients: List = []
         self._resync_backlog: dict = {}
+        #: Probe silence at condemnation, per address: the detect phase.
+        self._silence: dict = {}
         self._seen_stamps: set = set()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -144,6 +150,7 @@ class Supervisor:
         )
         if new == CONDEMNED:
             self.metrics.inc("selfheal.condemned")
+            self._silence[address] = evidence.get("silence")
             with self._pending_lock:
                 if address not in [a for a, _ in self._pending]:
                     self._pending.append((address, self.clock()))
@@ -245,21 +252,37 @@ class Supervisor:
         )
         try:
             self._execute(address, action)
+            spawned = self.clock()
             repair_report = self._restore_redundancy()
+            restored = self.clock()
+            # Back and restored: un-condemn before the resync, which
+            # holds marks for condemned targets.
+            self.detector.clear(address)
+            self._settle_dirty()
         except Exception as exc:
             self.metrics.inc("selfheal.repairs_failed")
             return self._journal_event(
                 "repair_failed", address=address, action=action,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        self.detector.clear(address)
         self.metrics.inc("selfheal.repairs_ok")
         self.metrics.inc(f"selfheal.{action}s")
         completed = self.clock()
+        # Seconds per phase, so a missed MTTR names the phase that overran:
+        # probe silence until condemnation, queueing behind the loop tick
+        # and the interlock, kill/respawn, redundancy restore, and the
+        # dirty-replica resync.
+        phases = {
+            "detect": self._silence.pop(address, None),
+            "queue": now - detected_at,
+            "spawn": spawned - now,
+            "restore": restored - spawned,
+            "resync": completed - restored,
+        }
         return self._journal_event(
             "repair_complete", address=address, action=action,
             detected_at=detected_at, completed_at=completed,
-            mttr=completed - detected_at, epoch=epoch,
+            mttr=completed - detected_at, epoch=epoch, phases=phases,
             restored=repair_report if isinstance(repair_report, dict) else None,
         )
 
@@ -328,6 +351,11 @@ class Supervisor:
         retries rather than copying from a stale leg.  Unreachable or
         racing targets go back to the backlog.
         """
+        with self._repair_lock:
+            return self._settle_dirty()
+
+    def _settle_dirty(self) -> int:
+        """:meth:`_resync_dirty` with the interlock already held."""
         marks: dict = dict(self._resync_backlog)
         self._resync_backlog = {}
         for client in self._clients:
@@ -344,40 +372,39 @@ class Supervisor:
             groups.setdefault((rel, cid), {})[target] = entry
         alive = getattr(self.cluster, "daemon_alive", None)
         settled = 0
-        with self._repair_lock:
-            for (rel, cid), targets in groups.items():
-                dirty = set(targets)
-                for target in dirty:
-                    entry = targets[target]
-                    down = (
-                        self.detector.state(target) == CONDEMNED
-                        or (alive is not None and not alive(target))
-                    )
-                    if down:
-                        # Hold without charging an attempt: the repair
-                        # ladder owns bringing the daemon back first.
-                        self._resync_backlog[(rel, cid, target)] = entry
-                        continue
-                    status = self.repairer.resync_chunk(
-                        rel, cid, target, exclude=dirty - {target}
-                    )
-                    self.metrics.inc(f"selfheal.resyncs.{status}")
-                    if status in ("unreachable", "racing", "no-source"):
-                        entry["attempts"] += 1
-                        if entry["attempts"] >= self.RESYNC_ATTEMPTS:
-                            self.metrics.inc("selfheal.resyncs.abandoned")
-                            self._journal_event(
-                                "resync_abandoned", rel=rel, chunk=cid,
-                                target=target, status=status,
-                            )
-                        else:
-                            self._resync_backlog[(rel, cid, target)] = entry
-                        continue
-                    settled += 1
-                    if status == "resynced":
+        for (rel, cid), targets in groups.items():
+            dirty = set(targets)
+            for target in dirty:
+                entry = targets[target]
+                down = (
+                    self.detector.state(target) == CONDEMNED
+                    or (alive is not None and not alive(target))
+                )
+                if down:
+                    # Hold without charging an attempt: the repair
+                    # ladder owns bringing the daemon back first.
+                    self._resync_backlog[(rel, cid, target)] = entry
+                    continue
+                status = self.repairer.resync_chunk(
+                    rel, cid, target, exclude=dirty - {target}
+                )
+                self.metrics.inc(f"selfheal.resyncs.{status}")
+                if status in ("unreachable", "racing", "no-source"):
+                    entry["attempts"] += 1
+                    if entry["attempts"] >= self.RESYNC_ATTEMPTS:
+                        self.metrics.inc("selfheal.resyncs.abandoned")
                         self._journal_event(
-                            "resync", rel=rel, chunk=cid, target=target,
+                            "resync_abandoned", rel=rel, chunk=cid,
+                            target=target, status=status,
                         )
+                    else:
+                        self._resync_backlog[(rel, cid, target)] = entry
+                    continue
+                settled += 1
+                if status == "resynced":
+                    self._journal_event(
+                        "resync", rel=rel, chunk=cid, target=target,
+                    )
         return settled
 
     def pending_repairs(self) -> int:

@@ -159,6 +159,46 @@ class TestDataHandlers:
         assert daemon.remove_chunks("/f") == 2
 
 
+class TestReplicaEngineHandlers:
+    def test_scan_pages_cover_everything_once(self, daemon):
+        for i in range(5):
+            daemon.create(f"/f{i}", file_md(), exclusive=True)
+            daemon.write_chunk(f"/f{i}", 0, 0, b"x" * (i + 1))
+            daemon.write_chunk(f"/f{i}", 1, 0, b"y")
+        whole = daemon.scan(None, 100)
+        assert whole["next"] is None
+        assert [path for path, _ in whole["records"]] == [f"/f{i}" for i in range(5)]
+        assert len(whole["chunks"]) == 10
+        records, chunks, cursor = [], [], None
+        while True:  # pages of 3 straddle the record/chunk boundary
+            page = daemon.scan(cursor, 3)
+            assert len(page["records"]) + len(page["chunks"]) <= 3
+            records += page["records"]
+            chunks += page["chunks"]
+            cursor = page["next"]
+            if cursor is None:
+                break
+        assert records == whole["records"]
+        assert chunks == whole["chunks"]
+        path, chunk_id, digest = chunks[0]
+        assert digest == daemon.chunk_digest(path, chunk_id)
+
+    def test_scan_reports_rotted_chunk_as_none(self):
+        network = RpcNetwork()
+        storage = MemoryChunkStorage(128, integrity=True)
+        daemon = GekkoDaemon(0, network.create_engine(0), 128, storage=storage)
+        daemon.write_chunk("/f", 0, 0, b"z" * 64)
+        assert storage.corrupt_chunk("/f", 0, 3)
+        assert daemon.scan(None, 10)["chunks"] == [["/f", 0, None]]
+
+    def test_replace_metadata_is_compare_and_swap(self, daemon):
+        old, new = file_md(), new_file_metadata().with_size(4096, 128).encode()
+        assert daemon.replace_metadata("/f", old, None)  # absent -> install
+        assert not daemon.replace_metadata("/f", new, None)  # changed since
+        assert daemon.replace_metadata("/f", new, old)
+        assert daemon.stat("/f") == new
+
+
 class TestStatfs:
     def test_snapshot_fields(self, daemon):
         daemon.create("/f", file_md(), exclusive=True)

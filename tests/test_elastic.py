@@ -9,6 +9,7 @@ and the server-side ``min_epoch`` stale-epoch defence.
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -34,8 +35,10 @@ from repro.core.membership import (
     STABLE,
 )
 from repro.core.resize import MIGRATION_CLIENT_ID, Migrator, MigrationReport
+from repro.experiments import elastic_grow
 from repro.faults.chaos import ChaosController
 from repro.faults.scrub import Scrubber
+from repro.net.cluster import ProcessCluster
 
 #: Everything a failed mover call may legitimately surface as, depending
 #: on which transport layer (partition, crash, breaker) broke first.
@@ -258,6 +261,29 @@ class TestLiveResize:
             assert bytes_in == report.bytes_moved
             assert bytes_out == report.bytes_moved
             assert "live" in str(report)
+
+    def test_copy_streams_lose_no_report_update(self):
+        """The engine's copy streams share the report: with a tiny switch
+        interval, a lost read-modify-write would break the balances."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with GekkoFSCluster(
+                num_nodes=2,
+                config=FSConfig(chunk_size=64),
+                distributor=RendezvousDistributor(2),
+                threaded=True,
+            ) as fs:
+                populate(fs, files=40, file_bytes=640)  # 400 chunks
+                report = fs.resize_live(6)
+        finally:
+            sys.setswitchinterval(switch)
+        entries = report.per_daemon.values()
+        chunks_in = sum(e["chunks_in"] for e in entries)
+        assert sum(e["bytes_in"] for e in entries) == report.bytes_moved
+        assert sum(e["bytes_out"] for e in entries) == report.bytes_moved
+        assert report.bytes_moved == 64 * chunks_in
+        assert report.verified == chunks_in >= report.chunks_moved > 0
 
     def test_live_grow_under_concurrent_writes(self):
         """Clients keep writing through the change; every acknowledged
@@ -569,6 +595,37 @@ class TestChaosMidMigration:
             migrator = Migrator(fs, MigrationReport(old_nodes=2, new_nodes=2))
             with pytest.raises(IntegrityError):
                 migrator._read_source_chunk([owner], "/victim", 0)
+
+
+class TestProcessClusterResize:
+    """Live resize with one OS process per daemon: the replica engine
+    reaches the daemons only through RPC."""
+
+    def test_grow_4_to_8_under_write_load(self):
+        """EXT-ELASTIC's three checks on a ProcessCluster."""
+        result = elastic_grow("process")
+        assert result["all_acked_data_correct"]
+        assert result["throughput_never_zero"], result["writes_per_quarter"]
+        assert result["bytes_moved"] <= result["byte_bound"]
+        assert result["epoch"] == 1
+        assert result["holds"], result
+
+    def test_shrink_drains_then_terminates(self):
+        config = FSConfig(chunk_size=128)
+        with ProcessCluster(
+            3, config=config, distributor=RendezvousDistributor(3)
+        ) as fs:
+            contents = populate(fs, files=8)
+            client = fs.client(0)  # built before the change
+            report = fs.resize_live(2)
+            assert fs.num_nodes == 2
+            assert len(fs.processes) == 2
+            assert report.released > 0
+            assert fs.view.num_daemons == 2
+            for path, payload in contents.items():
+                fd = client.open(path)
+                assert client.read(fd, len(payload) + 1) == payload
+                client.close(fd)
 
 
 class TestCrashReplace:

@@ -18,16 +18,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.errors import NotFoundError
-from repro.core import FSConfig, RendezvousDistributor
+from repro.core import FSConfig, GekkoFSCluster, RendezvousDistributor
 from repro.core.client import ClientStats, GekkoFSClient
 from repro.core.resize import live_migrate
 from repro.metacache import ClientMetaCache
 from repro.models import selfheal as twin
-from repro.net.cluster import (
-    ElasticLocalSocketCluster,
-    LocalSocketCluster,
-    ProcessCluster,
-)
+from repro.net.cluster import LocalSocketCluster, ProcessCluster
 from repro.selfheal import (
     CONDEMNED,
     HEALTHY,
@@ -723,8 +719,6 @@ class TestWireRepairOverSockets:
         digest snapshot and the replace must survive: the CAS re-read
         sees the copy changed and skips it instead of rolling the acked
         write back with the stale source payload."""
-        from repro.selfheal import RepairReport
-
         with LocalSocketCluster(3, config=FSConfig(**self.CFG)) as cluster:
             client = cluster.client(0)
             payload = bytes(range(256))
@@ -755,8 +749,7 @@ class TestWireRepairOverSockets:
                 return data
 
             repairer._chunk_payload = racing_payload
-            report = RepairReport()
-            repairer._ensure_chunk("/w", 0, report)
+            report = repairer.repair()
             assert report.chunks_skipped_racing == 1
             assert report.chunks_restored == 0
             echo = cluster.deployment.network.call(
@@ -783,6 +776,37 @@ class TestWireRepairOverSockets:
             assert again.records_restored == 0
 
 
+# -- a restarted primary that missed a size update ----------------------------
+
+
+class TestRestartedPrimaryMissedSizeUpdate:
+    @pytest.mark.parametrize("make", [GekkoFSCluster, LocalSocketCluster])
+    def test_full_size_and_bytes_after_supervisor_repair(self, make, tmp_path):
+        """Write 4 KiB, crash the file's metadata primary, write 8 KiB
+        more, then let the supervisor restart and repair it: the
+        primary's WAL-replayed record is stale (4 KiB), the surviving
+        replica's is not, and the larger size must win everywhere — on
+        in-process and socket deployments alike."""
+        cfg = FSConfig(replication=2, kv_dir=str(tmp_path / "kv"))
+        with make(4, config=cfg) as fs:
+            writer = fs.client(0)
+            fd = writer.open("/gkfs/grow", os.O_CREAT | os.O_RDWR)
+            writer.pwrite(fd, b"a" * 4096, 0)
+            primary = fs.distributor.locate_metadata("/grow")
+            fs.crash_daemon(primary)
+            writer.pwrite(fd, b"b" * 8192, 4096)
+            writer.close(fd)
+
+            entry = Supervisor(fs, FakeDetector()).repair(primary)
+            assert entry["event"] == "repair_complete", entry
+
+            reader = fs.client(1)
+            assert reader.stat("/gkfs/grow").size == 12288
+            fd = reader.open("/gkfs/grow", os.O_RDONLY)
+            assert reader.pread(fd, 12289, 0) == b"a" * 4096 + b"b" * 8192
+            reader.close(fd)
+
+
 # -- SIGKILL inside a migration write freeze (satellite 4) --------------------
 
 
@@ -795,7 +819,7 @@ class TestFreezeCrashDuringMigration:
         unparks, the bumped epoch is not reused, and a supervisor repair
         completes without racing the aborted change."""
         cfg = FSConfig(chunk_size=256, replication=2)
-        with ElasticLocalSocketCluster(4, config=cfg) as fs:
+        with ProcessCluster(4, config=cfg) as fs:
             contents = populate(fs, files=10, file_bytes=600)
             old_dist = fs.view.distributor
             new_dist = RendezvousDistributor(4)
@@ -855,13 +879,13 @@ class TestFreezeCrashDuringMigration:
                 writer.write(fd, bytes(range(256)))
                 writer.close(fd)
                 original_freeze()
-                fs.crash_daemon(victim)
+                fs.kill_daemon(victim)
                 thread.start()
 
             monkeypatch.setattr(fs.view, "freeze_writes", hooked_freeze)
             epoch_before = fs.view.epoch
             with pytest.raises(Exception):
-                live_migrate(fs, new_dist, grace=0.05)
+                live_migrate(fs.deployment, new_dist, grace=0.05)
             # Abort left the old placement authoritative, the gate open,
             # and the epoch consumed (never reused).
             assert fs.view.state == "stable"
