@@ -15,6 +15,7 @@ fan-out, size-update routing) lives in :mod:`repro.core.client`.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Optional
 
 from repro.common.errors import (
@@ -668,18 +669,21 @@ class GekkoDaemon:
         chunk_id)`` order, where ``digest`` is as :meth:`_digest`
         returns it (``None`` = rotted).  ``after`` is the previous
         page's ``next`` cursor; ``next`` is ``None`` on the last page.
+        A chunk page resumes by bisecting the sorted path list, so the
+        paths before the cursor are not listed again: a full scan lists
+        each path's chunks about once, not once per page.
         """
+        resume = after is not None and after[0] == "c"
 
         def holdings():
-            if after is None or after[0] == "r":
+            if not resume:
                 lo = None if after is None else after[1].encode("utf-8") + b"\x00"
                 for key, value in self.kv.range_iter(lo):
                     yield "r", key.decode("utf-8"), value
-            for path in self.storage.paths():
+            paths = list(self.storage.paths())
+            for path in paths[bisect_left(paths, after[1]) if resume else 0 :]:
                 for chunk_id in self.storage.chunk_ids(path):
-                    if after is None or after[0] == "r" or (
-                        (path, chunk_id) > (after[1], after[2])
-                    ):
+                    if not resume or (path, chunk_id) > (after[1], after[2]):
                         yield "c", path, chunk_id
 
         page: dict = {"records": [], "chunks": [], "next": None}

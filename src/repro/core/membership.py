@@ -223,8 +223,11 @@ class EpochStampedNetwork:
     freeze is up, and (c) stamps the view's epoch into the RPC envelope
     so daemons can enforce ``min_epoch`` server-side.  Epoch 0 — a
     deployment whose membership never changed — travels unstamped, so
-    the common case pays no envelope bytes; it is also the one epoch no
-    daemon floor can be below.  Everything else
+    the common case pays no envelope bytes.  The price: the floor cannot
+    reject an epoch-0 client.  A client of this view is still stopped by
+    the view itself, but one mounted in another process from the old
+    address book is served under its stale placement after a resize.
+    Everything else
     (tracer, inflight gauge, qos stats, ``wait_all``) forwards to the
     wrapped network untouched.
     """

@@ -40,11 +40,9 @@ Callers, in-process and over sockets alike:
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from repro.common.errors import GekkoError, IntegrityError, NotFoundError
 from repro.core.distributor import Distributor
@@ -82,10 +80,6 @@ _DEFAULT_GRACE = 0.05
 
 #: Entries per ``gkfs_scan`` page.
 _SCAN_PAGE = 512
-
-#: Concurrent copy streams: items are independent, and over sockets a
-#: lone stream spends its time waiting on round trips.
-_STREAMS = 8
 
 #: What a failed call raises: a daemon that is crash-stopped,
 #: partitioned, breaker-open or lost by the transport, a corrupt source,
@@ -196,8 +190,9 @@ class Migrator:
     :param report: accounting sink (a fresh ``repair`` report by default).
     :param rate: byte/s cap on copy traffic; ``None`` is unthrottled.
     :param verify: read back every copied chunk's digest.
-    :param strict: a failing target raises (a migration must abort);
-        otherwise it lands in ``report.unreachable`` and the run goes on.
+    :param strict: a daemon that fails a scan or a copy raises (a
+        migration must abort); otherwise it lands in
+        ``report.unreachable`` and the run goes on.
     :param view: stamp calls with this view's epoch, so daemons sealed
         past it reject the work (``StaleEpochError``).
     """
@@ -234,7 +229,6 @@ class Migrator:
         self.network = mover() if mover is not None else cluster.network
         #: How ``gkfs_chunk_digest`` answers for a chunk that is not there.
         self._empty = {"length": 0, "digest": chunk_checksum(b"", 0, self.algorithm)}
-        self._lock = threading.Lock()  # the report, across copy streams
         # Items already counted in ``*_moved`` — re-copies across passes
         # count once as a move, but every time in ``bytes_moved``.
         self._already_moved_meta: set = set()
@@ -267,49 +261,24 @@ class Migrator:
                 return
             time.sleep(min(wait, 0.05))
 
-    def _count(self, **totals: int) -> None:
-        with self._lock:
-            for name, amount in totals.items():
-                setattr(self.report, name, getattr(self.report, name) + amount)
-
     def _charge(self, address: int, metrics: Optional[dict] = None, **traffic: int) -> None:
         """Charge traffic to one address's report entry and, on
         in-process daemons, to ``migration.*`` metrics next to their
         foreground I/O (named as ``traffic`` unless ``metrics`` says
         otherwise)."""
-        with self._lock:
-            entry = self.report.daemon_entry(address)
-            for name, amount in traffic.items():
-                entry[name] += amount
+        entry = self.report.daemon_entry(address)
+        for name, amount in traffic.items():
+            entry[name] += amount
         daemons = getattr(self.cluster, "daemons", None)
         if daemons is not None and address < len(daemons):
             for name, amount in (metrics or traffic).items():
                 daemons[address].metrics.inc(f"migration.{name}", amount)
 
-    def _unreachable(self, address: int) -> None:
-        with self._lock:
-            self.report.unreachable.append(address)
-
     def _target_failed(self, address: int) -> None:
-        """A target could not be reached: re-raise when strict."""
+        """A daemon could not be reached: re-raise when strict."""
         if self.strict:
             raise
-        self._unreachable(address)
-
-    @staticmethod
-    def _each(work: Callable, items: Iterable) -> list:
-        """``work(item)`` for every item on concurrent copy streams;
-        results in item order.  The first failure is raised once every
-        item has finished, so an abort leaves no stream running."""
-        items = list(items)
-        if len(items) <= 1:
-            return [work(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(_STREAMS, len(items))) as pool:
-            futures = [pool.submit(work, item) for item in items]
-        for future in futures:
-            if future.exception() is not None:
-                raise future.exception()
-        return [future.result() for future in futures]
+        self.report.unreachable.append(address)
 
     # -- enumeration --------------------------------------------------------
 
@@ -317,9 +286,13 @@ class Migrator:
         """Who holds what: ``(records, chunks, reachable)`` as
         ``{path: {address: record}}``, ``{(path, chunk_id): {address:
         digest}}`` (``None`` = rotted) and the addresses that answered
-        every ``gkfs_scan`` page."""
-
-        def holdings(address: int) -> Optional[tuple[list, list]]:
+        every ``gkfs_scan`` page.  A strict run raises on the first
+        address that does not: what it holds is unknown, so no pass may
+        plan without it."""
+        records: dict[str, dict[int, bytes]] = {}
+        chunks: dict[tuple[str, int], dict[int, Optional[dict]]] = {}
+        reachable: set[int] = set()
+        for address in addresses:
             found: tuple[list, list] = ([], [])
             cursor = None
             try:
@@ -329,17 +302,9 @@ class Migrator:
                     found[1].extend(page["chunks"])
                     cursor = page["next"]
                     if cursor is None:
-                        return found
+                        break
             except _FAILURES:
-                self._unreachable(address)
-                return None
-
-        records: dict[str, dict[int, bytes]] = {}
-        chunks: dict[tuple[str, int], dict[int, Optional[dict]]] = {}
-        reachable: set[int] = set()
-        addresses = list(addresses)
-        for address, found in zip(addresses, self._each(holdings, addresses)):
-            if found is None:
+                self._target_failed(address)
                 continue
             reachable.add(address)
             for path, record in found[0]:
@@ -439,14 +404,14 @@ class Migrator:
             return None
         digest = chunk_checksum(data, 0, self.algorithm)
         self._call(target, "gkfs_replace_chunk", path, chunk_id, data, digest)
-        self._count(bytes_moved=len(data))
+        self.report.bytes_moved += len(data)
         self._charge(target, chunks_in=1, bytes_in=len(data))
         self._charge(served_by, chunks_out=1, bytes_out=len(data))
         if self.verify:
             echo = self._call(target, "gkfs_chunk_digest", path, chunk_id)
             if echo["digest"] != digest or echo["length"] != len(data):
                 return None
-            self._count(verified=1)
+            self.report.verified += 1
         return len(data)
 
     def _ensure_copy(
@@ -475,9 +440,9 @@ class Migrator:
         if self._copy_chunk(sources, path, chunk_id, target, expect) is not None:
             return "copied"
         if foreground:
-            self._count(skipped_racing=1)
+            self.report.skipped_racing += 1
             return "racing"
-        self._count(verify_failures=1)
+        self.report.verify_failures += 1
         raise IntegrityError(
             f"chunk {chunk_id} of {path!r}: target {target} read-back "
             f"digest mismatch after copy"
@@ -506,7 +471,7 @@ class Migrator:
                 self._target_failed(target)
                 continue
             if not stored:
-                self._count(skipped_racing=1)
+                self.report.skipped_racing += 1
                 continue
             moved += cost
             self._charge(target, records_in=1)
@@ -612,8 +577,8 @@ class Migrator:
         if not throttle:
             self.bucket = None
         try:
-            record_bytes = self._each(record, records.items())
-            copied = self._each(chunk, chunks.items())
+            record_bytes = [record(item) for item in records.items()]
+            copied = [chunk(item) for item in chunks.items()]
         finally:
             self.bucket = saved_bucket
 
@@ -632,29 +597,20 @@ class Migrator:
         after the move keeps its source for the scrubber."""
         records, chunks, _ = self.scan(self._addresses(new_dist))
         replication = self.config.replication
-
-        def record(item) -> None:
-            rel, copies = item
+        for rel, copies in records.items():
             desired = new_dist.replica_set(new_dist.locate_metadata(rel), replication)
             for holder in copies:
                 if holder not in desired:
                     self._drop_record(holder, rel, "records_released")
-
-        def chunk(item) -> None:
-            (path, chunk_id), copies = item
+        for (path, chunk_id), copies in chunks.items():
             desired = new_dist.replica_set(new_dist.locate_chunk(path, chunk_id), replication)
             surplus = [h for h in copies if h not in desired]
-            if not surplus:
-                return
-            if self.verify:
+            if surplus and self.verify:
                 for target in desired:  # IntegrityError keeps the source
                     self._call(target, "gkfs_chunk_digest", path, chunk_id)
             for holder in surplus:
                 self._drop_chunk(holder, path, chunk_id, "chunks_released")
-                self._count(released=1)
-
-        self._each(record, records.items())
-        self._each(chunk, chunks.items())
+                self.report.released += 1
 
     def restore(self) -> MigrationReport:
         """Restore redundancy under the current placement: one pass, plus

@@ -183,6 +183,29 @@ class TestReplicaEngineHandlers:
         path, chunk_id, digest = chunks[0]
         assert digest == daemon.chunk_digest(path, chunk_id)
 
+    def test_scan_pages_list_each_path_about_once(self, daemon):
+        # More chunks than one page, spread over many paths: resuming a
+        # page must not re-list the chunks of paths before the cursor.
+        paths = [f"/p{i:03d}" for i in range(60)]
+        for path in paths:
+            for chunk_id in range(3):
+                daemon.write_chunk(path, chunk_id, 0, b"c")
+        listed = []
+        chunk_ids = daemon.storage.chunk_ids
+        daemon.storage.chunk_ids = lambda path: listed.append(path) or chunk_ids(path)
+        chunks, cursor, pages = [], None, 0
+        while True:
+            page = daemon.scan(cursor, 7)
+            chunks += [(path, chunk_id) for path, chunk_id, _ in page["chunks"]]
+            pages += 1
+            cursor = page["next"]
+            if cursor is None:
+                break
+        assert chunks == [(p, c) for p in paths for c in range(3)]
+        assert pages == 26
+        # Each path once, plus the cursor's path re-listed per page.
+        assert len(listed) <= len(paths) + 2 * pages
+
     def test_scan_reports_rotted_chunk_as_none(self):
         network = RpcNetwork()
         storage = MemoryChunkStorage(128, integrity=True)
